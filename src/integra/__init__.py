@@ -30,7 +30,6 @@ from .spectra import (
     char_poly,
     integral_spectrum,
     is_integral_cayley,
-    spectrum_by_factoring,
 )
 from .symsets import count_symmetric_sets, enumerate_symmetric_sets, inverse_partition
 from .verify import Claim, ClaimResult, list_claims, run_all, run_claim
@@ -70,7 +69,6 @@ __all__ = [
     "recognize_named",
     "run_all",
     "run_claim",
-    "spectrum_by_factoring",
     "to_document",
     "__version__",
 ]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,29 +23,22 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _worker_cap() -> int:
-    """Validate INTEGRA_THREADS; scans run sequentially, the cap just bounds them."""
-    raw = os.environ.get("INTEGRA_THREADS", "")
-    if not raw:
-        return 1
+def _load_document(path: Path) -> FiniteGroup:
+    """Parse one ftg-1 file; malformed or too deeply nested JSON is an input error."""
+    text = path.read_text()
     try:
-        val = int(raw)
-    except ValueError:
-        raise CliError(f"INTEGRA_THREADS must be a positive integer, got {raw!r}")
-    if val < 1:
-        raise CliError(f"INTEGRA_THREADS must be a positive integer, got {raw!r}")
-    return val
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{path}: not valid JSON: {exc}")
+    except RecursionError:
+        raise CliError(f"{path}: not valid JSON: nested too deeply")
+    return from_table(doc, label=path.name)
 
 
 def _load_group(args: argparse.Namespace) -> FiniteGroup:
     if getattr(args, "spec", None):
         return construct(args.spec)
-    path = Path(args.file)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: not valid JSON: {exc}")
-    return from_table(doc, label=path.name)
+    return _load_document(Path(args.file))
 
 
 def _resolve_set(g: FiniteGroup, args: argparse.Namespace) -> tuple[int, ...]:
@@ -134,11 +126,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     rows = []
     all_member = True
     for path in sorted(root.glob("*.json")):
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{path}: not valid JSON: {exc}")
-        g = from_table(doc, label=path.name)
+        g = _load_document(path)
         for cls in ("A", "G"):
             rep = in_A_k(g, args.k) if cls == "A" else in_G_k(g, args.k)
             reports.append(membership_to_dict(rep))
@@ -215,7 +203,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             args.table = True
     try:
-        _worker_cap()
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

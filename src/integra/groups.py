@@ -501,6 +501,8 @@ def from_table(doc: dict, label: str = "imported") -> FiniteGroup:
     table = doc.get("table")
     if not isinstance(n, int) or n < 1:
         raise ValueError("bad order")
+    if n > ORDER_BOUND:
+        raise ValueError(f"group order exceeds {ORDER_BOUND}")
     if not isinstance(table, list) or len(table) != n:
         raise ValueError("table size does not match order")
     rows = []
@@ -655,8 +657,6 @@ _PRESENTATIONS: dict[str, tuple[int, tuple[int, ...], tuple]] = {
     "A4": (12, (3, 2), (((0, 1), (1, 1)) * 3,)),
     "S4": (24, (4, 2), (((0, 1), (1, 1)) * 3,)),
 }
-
-RECOGNITION_NAMES = tuple(_PRESENTATIONS)
 
 
 def _relator_holds(g: FiniteGroup, cand: tuple[int, ...], relator) -> bool:

@@ -119,43 +119,12 @@ class IntPolynomial:
         return IntPolynomial(_trim(quot)), IntPolynomial(_trim(rem))
 
     def divides(self, other: IntPolynomial) -> bool:
-        """True iff self divides other exactly (zero remainder)."""
-        if self.is_zero():
-            raise ValueError("zero polynomial cannot divide")
-        if other.is_zero():
-            return True
-        if other.degree < self.degree:
-            return False
-        lead = self.coeffs[-1]
-        if lead in (1, -1):
-            p = self if lead == 1 else -self
-            _, rem = other.divmod_by(p)
-            return rem.is_zero()
-        # Non-monic divisor: do fraction-free division by scaling the
-        # remainder with the leading coefficient at each step.
-        rem = list(other.coeffs)
-        dd = self.degree
-        div = self.coeffs
-        while len(_trim(rem)) - 1 >= dd:
-            rem = list(_trim(rem))
-            top = rem[-1]
-            shift = len(rem) - 1 - dd
-            rem = [c * lead for c in rem]
-            for i in range(dd + 1):
-                rem[shift + i] -= top * div[i]
-        return not _trim(rem)
+        """True iff the monic polynomial self divides other exactly.
 
-    def root_multiplicity(self, r: int) -> int:
-        """Multiplicity of the integer r as a root (0 when not a root)."""
-        mult = 0
-        p = self
-        factor = IntPolynomial.linear_root(r)
-        while not p.is_zero() and p(r) == 0:
-            p, rem = p.divmod_by(factor)
-            if not rem.is_zero():
-                raise AssertionError("inexact division by a confirmed root")
-            mult += 1
-        return mult
+        Raises ValueError, through divmod_by, when self is not monic.
+        """
+        _, rem = other.divmod_by(self)
+        return rem.is_zero()
 
     def __str__(self) -> str:
         if self.is_zero():

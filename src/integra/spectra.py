@@ -7,11 +7,6 @@ from dataclasses import dataclass
 from .groups import FiniteGroup, closure
 from .polys import IntPolynomial
 
-# Candidate eigenvalues of a k-regular graph are confined to [-k, k], so a
-# single large prime suffices as a sound pre-filter: nullity can only grow
-# when reduced mod p, hence zero mod-p nullity proves zero exact multiplicity.
-_FILTER_PRIME = (1 << 31) - 1
-
 
 @dataclass(frozen=True)
 class AdjMatrix:
@@ -33,23 +28,6 @@ class SpectrumReport:
     subgroup_order: int
     index: int
     sub: "SpectrumReport | None" = None
-
-
-def adjacency_from_rows(rows) -> AdjMatrix:
-    n = len(rows)
-    tr = tuple(tuple(r) for r in rows)
-    if any(len(r) != n for r in tr):
-        raise ValueError("adjacency matrix must be square")
-    if any(v not in (0, 1) for r in tr for v in r):
-        raise ValueError("adjacency entries must be 0 or 1")
-    if any(tr[i][i] for i in range(n)):
-        raise ValueError("adjacency diagonal must be zero")
-    if any(tr[i][j] != tr[j][i] for i in range(n) for j in range(i + 1, n)):
-        raise ValueError("adjacency matrix must be symmetric")
-    degs = {sum(r) for r in tr}
-    if len(degs) != 1:
-        raise ValueError("adjacency matrix must be regular")
-    return AdjMatrix(n, tr, degs.pop())
 
 
 def validate_connection_set(g: FiniteGroup, s) -> tuple[int, ...]:
@@ -115,128 +93,13 @@ def char_poly(a: AdjMatrix) -> IntPolynomial:
     return IntPolynomial(tuple(reversed(desc)))
 
 
-def _bareiss_rank(rows: list[list[int]], n: int) -> int:
-    """Rank by fraction-free elimination, pivoting on the first nonzero in row order."""
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, n):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
-        rr = rows[r]
-        for i in range(r + 1, n):
-            row = rows[i]
-            f = row[c]
-            if f == 0 and p == prev:
-                continue
-            row[c + 1 :] = [
-                (p * x - f * y) // prev for x, y in zip(row[c + 1 :], rr[c + 1 :])
-            ]
-            row[c] = 0
-        prev = p
-        r += 1
-        rank += 1
-        if r == n:
-            break
-    return rank
-
-
-def eigen_multiplicity(a: AdjMatrix, lam: int) -> int:
-    """Multiplicity of lam as an eigenvalue: n - rank(A - lam*I), exactly."""
-    n = a.n
-    rows = [list(r) for r in a.rows]
-    for i in range(n):
-        rows[i][i] -= lam
-    return n - _bareiss_rank(rows, n)
-
-
-def _nullity_mod_p(a: AdjMatrix, lam: int) -> int:
-    p = _FILTER_PRIME
-    n = a.n
-    rows = [list(r) for r in a.rows]
-    for i in range(n):
-        rows[i][i] = (rows[i][i] - lam) % p
-    rank = 0
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, n):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        inv_piv = pow(rows[r][c], p - 2, p)
-        rr = rows[r]
-        for i in range(r + 1, n):
-            row = rows[i]
-            if row[c]:
-                f = (row[c] * inv_piv) % p
-                row[c + 1 :] = [(x - f * y) % p for x, y in zip(row[c + 1 :], rr[c + 1 :])]
-                row[c] = 0
-        r += 1
-        rank += 1
-        if r == n:
-            break
-    return n - rank
-
-
-def _residual_from(poly: IntPolynomial, mults: dict[int, int]) -> IntPolynomial:
-    res = poly
-    for lam, m in mults.items():
-        factor = IntPolynomial.linear_root(lam) ** m
-        res, rem = res.divmod_by(factor)
-        if not rem.is_zero():
-            raise AssertionError("inexact division by confirmed eigenvalue factors")
-    return res
-
-
 def integral_spectrum(a: AdjMatrix) -> SpectrumReport:
-    """Decide integrality by exact rank computations over the candidate range.
+    """Decide integrality by factoring the characteristic polynomial exactly.
 
-    A mod-p elimination first rules out candidates with zero nullity; exact
-    Bareiss ranks then pin the multiplicity of every surviving candidate, so
-    the verdict rests on integer arithmetic only.
+    Every eigenvalue of a k-regular graph lies in [-k, k], so dividing out
+    x - lam for each integer root in that range leaves a residual of degree 0
+    exactly when the spectrum is integral.
     """
-    n, k = a.n, a.degree
-    mults: dict[int, int] = {}
-    for lam in range(k, -k - 1, -1):
-        if _nullity_mod_p(a, lam) == 0:
-            continue
-        m = eigen_multiplicity(a, lam)
-        if m:
-            mults[lam] = m
-    total = sum(mults.values())
-    if total == n:
-        residual = IntPolynomial.one()
-        integral = True
-    else:
-        residual = _residual_from(char_poly(a), mults)
-        integral = False
-    return SpectrumReport(
-        n=n,
-        degree=k,
-        integral=integral,
-        eigenvalues=tuple(sorted(mults.items(), reverse=True)),
-        residual=residual,
-        components=mults.get(k, 0),
-        subgroup_order=n,
-        index=1,
-    )
-
-
-def spectrum_by_factoring(a: AdjMatrix) -> SpectrumReport:
-    """Independent route: factor the characteristic polynomial by its integer roots."""
     n, k = a.n, a.degree
     res = char_poly(a)
     mults: dict[int, int] = {}
@@ -260,10 +123,6 @@ def spectrum_by_factoring(a: AdjMatrix) -> SpectrumReport:
         subgroup_order=n,
         index=1,
     )
-
-
-def poly_divides(d: IntPolynomial, p: IntPolynomial) -> bool:
-    return d.divides(p)
 
 
 def is_integral_cayley(g: FiniteGroup, s) -> tuple[bool, SpectrumReport]:

@@ -73,21 +73,12 @@ def _lex_exact(g: FiniteGroup, size: int) -> Iterator[tuple[int, ...]]:
         yield from rec([], 0, (), size)
 
 
-def _conjugates(g: FiniteGroup, s: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    t = g.table
-    inv = g.inv
-    for c in range(g.order):
-        yield tuple(sorted(t[t[inv[c]][x]][c] for x in s))
-
-
 def enumerate_symmetric_sets(
-    g: FiniteGroup, k: int, mode: str = "exact", dedup_conjugacy: bool = False
+    g: FiniteGroup, k: int, mode: str = "exact"
 ) -> Iterator[tuple[int, ...]]:
     """Stream symmetric identity-free sets of size k ("exact") or 1..k ("at_most").
 
-    Sizes ascend in at_most mode and sets are lexicographic within a size. The
-    dedup flag keeps only the lexicographically least member of each conjugacy
-    orbit; it is a performance lever and never changes a membership verdict.
+    Sizes ascend in at_most mode and sets are lexicographic within a size.
     """
     if k < 1:
         raise ValueError("set size must be at least 1")
@@ -95,10 +86,7 @@ def enumerate_symmetric_sets(
         raise ValueError(f"unknown mode {mode!r}")
     sizes = range(1, k + 1) if mode == "at_most" else (k,)
     for size in sizes:
-        for s in _lex_exact(g, size):
-            if dedup_conjugacy and min(_conjugates(g, s)) != s:
-                continue
-            yield s
+        yield from _lex_exact(g, size)
 
 
 def count_symmetric_sets(g: FiniteGroup, k: int, mode: str = "exact") -> int:

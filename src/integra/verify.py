@@ -28,7 +28,7 @@ from .groups import (
     profile,
 )
 from .polys import IntPolynomial
-from .spectra import cayley_adjacency, char_poly, is_integral_cayley, poly_divides
+from .spectra import cayley_adjacency, char_poly, is_integral_cayley
 from .symsets import count_symmetric_sets, enumerate_symmetric_sets
 
 
@@ -83,7 +83,7 @@ def _claim_c2() -> tuple[bool, dict]:
     ok, _rep = is_integral_cayley(g, s)
     cp = char_poly(cayley_adjacency(g, s))
     divisor = IntPolynomial.from_coeffs((-1, 2, 1))
-    divides = poly_divides(divisor, cp)
+    divides = divisor.divides(cp)
     member = in_A_k(g, 3)
     passed = (not ok) and divides and not member.member
     return passed, {
@@ -105,7 +105,7 @@ def _claim_c3() -> tuple[bool, dict]:
     ok, _rep = is_integral_cayley(g, s)
     cp = char_poly(cayley_adjacency(g, s))
     divisor = IntPolynomial.from_coeffs((-2, 2, 1))
-    divides = poly_divides(divisor, cp)
+    divides = divisor.divides(cp)
     passed = (not ok) and divides
     return passed, {
         "set": list(s),
@@ -118,17 +118,11 @@ def _claim_c3() -> tuple[bool, dict]:
 
 
 def _claim_c4() -> tuple[bool, dict]:
-    g = construct("alt:4")
-    checked = 0
-    non_integral: list[list[int]] = []
-    for s in enumerate_symmetric_sets(g, 3):
-        checked += 1
-        ok, _rep = is_integral_cayley(g, s)
-        if not ok:
-            non_integral.append(list(s))
-    passed = checked == 13 and not non_integral
+    rep = in_A_k(construct("alt:4"), 3)
+    non_integral = [list(rep.witness)] if rep.witness else []
+    passed = rep.sets_checked == 13 and rep.member
     return passed, {
-        "sets_checked": checked,
+        "sets_checked": rep.sets_checked,
         "expected_sets": 13,
         "non_integral": non_integral,
     }
@@ -321,22 +315,15 @@ def _claim_c14() -> tuple[bool, dict]:
     for label, spec, expected in _C14_SPECS:
         g = construct(spec)
         formula = count_symmetric_sets(g, g.order - 1, mode="at_most")
-        checked = 0
-        all_ok = True
-        for s in enumerate_symmetric_sets(g, g.order - 1, mode="at_most"):
-            checked += 1
-            ok, _rep = is_integral_cayley(g, s)
-            if not ok:
-                all_ok = False
-                break
+        rep = in_G_k(g, g.order - 1)
         rows[label] = {
             "order": g.order,
-            "sets_checked": checked,
+            "sets_checked": rep.sets_checked,
             "expected_sets": expected,
             "count_formula": formula,
-            "all_integral": all_ok,
+            "all_integral": rep.member,
         }
-        passed = passed and all_ok and checked == expected and formula == expected
+        passed = passed and rep.member and rep.sets_checked == expected and formula == expected
     return passed, {"groups": rows}
 
 

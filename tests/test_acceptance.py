@@ -7,7 +7,7 @@ import sys
 import time
 
 import conftest
-from oracles import oracle_integral, oracle_spectrum
+from oracles import oracle_integral, oracle_spectrum, rank_spectrum
 
 from integra.cli import main as cli_main
 from integra.groups import catalog_groups, closure, construct, cyclic, is_abelian
@@ -16,7 +16,6 @@ from integra.spectra import (
     char_poly,
     integral_spectrum,
     is_integral_cayley,
-    spectrum_by_factoring,
 )
 from integra.symsets import count_symmetric_sets, enumerate_symmetric_sets, inverse_partition
 from integra.verify import run_claim
@@ -130,7 +129,7 @@ def test_property_dual_oracle_on_random_sets():
             continue
         s = sets[rng.randrange(len(sets))]
         adj = cayley_adjacency(g, s)
-        assert integral_spectrum(adj) == spectrum_by_factoring(adj)
+        assert integral_spectrum(adj) == rank_spectrum(adj)
         checked += 1
     elapsed = time.monotonic() - start
     ok = checked >= 500 and elapsed < 60.0

@@ -142,11 +142,15 @@ def test_census_missing_dir(capsys, tmp_path):
     assert "not a directory" in err
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("INTEGRA_THREADS", "zero")
-    code, _out, err = run_cli(capsys, "verify", "--claim", "C1")
-    assert code == 2
-    assert "INTEGRA_THREADS" in err
-    monkeypatch.setenv("INTEGRA_THREADS", "2")
-    code, _out, _err = run_cli(capsys, "verify", "--claim", "C1")
-    assert code == 0
+
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200000 + "]" * 200000)
+    for argv in (
+        ("spectrum", "--file", str(nested), "--set-indices", "1"),
+        ("classify", "--file", str(nested), "--class", "A", "--k", "3"),
+        ("census", "--dir", str(tmp_path), "--k", "2"),
+    ):
+        code, _out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert "not valid JSON" in err, argv

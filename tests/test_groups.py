@@ -1,6 +1,7 @@
 """Group construction, recognition, and serialization tests."""
 
 import random
+import time
 
 import pytest
 
@@ -170,6 +171,16 @@ def test_from_table_rejects_bad_documents():
     shifted["identity"] = 0
     with pytest.raises(ValueError, match="identity"):
         from_table(shifted)
+
+
+def test_from_table_rejects_oversized_order_quickly():
+    n = ORDER_BOUND + 1
+    doc = {"format": "ftg-1", "order": n, "identity": 0,
+           "table": [[(i + j) % n for j in range(n)] for i in range(n)]}
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="exceeds"):
+        from_table(doc)
+    assert time.monotonic() - start < 1.0
 
 
 def test_from_table_rejects_non_associative_loop():

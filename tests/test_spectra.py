@@ -3,70 +3,52 @@
 import random
 
 import pytest
+from oracles import eigen_multiplicity, rank_spectrum
 
 from integra.groups import catalog_groups, closure, construct, cyclic
 from integra.polys import IntPolynomial
 from integra.spectra import (
-    adjacency_from_rows,
     cayley_adjacency,
     char_poly,
-    eigen_multiplicity,
     integral_spectrum,
     is_integral_cayley,
-    poly_divides,
     report_to_dict,
-    spectrum_by_factoring,
     validate_connection_set,
 )
 from integra.symsets import enumerate_symmetric_sets
 
 
-def _cycle_rows(n):
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][(i + 1) % n] = 1
-        rows[i][(i - 1) % n] = 1
-    return rows
+def _cycle(n):
+    """The n-cycle as Cay(Z_n, {1, n-1})."""
+    return cayley_adjacency(cyclic(n), (1, n - 1))
 
 
-def test_adjacency_validation():
-    with pytest.raises(ValueError):
-        adjacency_from_rows([[0, 1], [1, 0], [0, 0]])
-    with pytest.raises(ValueError):
-        adjacency_from_rows([[1, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        adjacency_from_rows([[0, 1], [0, 0]])
-    with pytest.raises(ValueError):
-        adjacency_from_rows([[0, 2], [2, 0]])
-    with pytest.raises(ValueError):
-        adjacency_from_rows([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+def _k4():
+    return cayley_adjacency(cyclic(4), (1, 2, 3))
 
 
 def test_char_poly_small_graphs():
-    c4 = adjacency_from_rows(_cycle_rows(4))
-    assert char_poly(c4).coeffs == (0, 0, -4, 0, 1)
-    k4 = adjacency_from_rows([[0 if i == j else 1 for j in range(4)] for i in range(4)])
-    assert char_poly(k4).coeffs == (-3, -8, -6, 0, 1)
+    assert char_poly(_cycle(4)).coeffs == (0, 0, -4, 0, 1)
+    assert char_poly(_k4()).coeffs == (-3, -8, -6, 0, 1)
 
 
 def test_eigen_multiplicity():
-    c4 = adjacency_from_rows(_cycle_rows(4))
+    c4 = _cycle(4)
     assert eigen_multiplicity(c4, 0) == 2
     assert eigen_multiplicity(c4, 2) == 1
     assert eigen_multiplicity(c4, 1) == 0
-    k4 = adjacency_from_rows([[0 if i == j else 1 for j in range(4)] for i in range(4)])
-    assert eigen_multiplicity(k4, -1) == 3
+    assert eigen_multiplicity(_k4(), -1) == 3
 
 
 def test_cycle_six_spectrum():
-    rep = integral_spectrum(adjacency_from_rows(_cycle_rows(6)))
+    rep = integral_spectrum(_cycle(6))
     assert rep.integral
     assert rep.eigenvalues == ((2, 1), (1, 2), (-1, 2), (-2, 1))
     assert rep.residual == IntPolynomial.one()
 
 
 def test_cycle_five_residual():
-    rep = integral_spectrum(adjacency_from_rows(_cycle_rows(5)))
+    rep = integral_spectrum(_cycle(5))
     assert not rep.integral
     assert rep.eigenvalues == ((2, 1),)
     assert rep.residual.coeffs == (1, -2, -1, 2, 1)
@@ -89,7 +71,7 @@ def test_two_routes_agree_on_catalog_cubic_sets():
     for _name, g in catalog_groups():
         for s in enumerate_symmetric_sets(g, 3):
             adj = cayley_adjacency(g, s)
-            assert integral_spectrum(adj) == spectrum_by_factoring(adj)
+            assert integral_spectrum(adj) == rank_spectrum(adj)
 
 
 def test_disconnected_set_lifts_by_index():
@@ -116,12 +98,6 @@ def test_charpoly_power_rule():
     assert cp == cp_sub ** 3
 
 
-def test_poly_divides_helper():
-    d = IntPolynomial.from_coeffs((-1, 2, 1))
-    assert poly_divides(d, d * d)
-    assert not poly_divides(d, IntPolynomial.from_coeffs((1, 1)))
-
-
 def test_report_dict_shape():
     g = construct("dihedral:8")
     _ok, rep = is_integral_cayley(g, (2, 3, 5))
@@ -144,9 +120,7 @@ def test_random_regular_graphs_consistency():
             continue
         s = sets[rng.randrange(len(sets))]
         adj = cayley_adjacency(g, s)
-        a = integral_spectrum(adj)
-        b = spectrum_by_factoring(adj)
-        assert a == b
+        assert integral_spectrum(adj) == rank_spectrum(adj)
         cp = char_poly(adj)
         n, k = adj.n, adj.degree
         assert cp.coeffs[n] == 1
