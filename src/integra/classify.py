@@ -13,7 +13,7 @@ from .groups import (
     recognize_named,
 )
 from .spectra import is_integral_cayley
-from .symsets import enumerate_symmetric_sets
+from .symsets import symmetric_sets_by_orbit
 
 # Subgroups generated by an involution and one further element must land in
 # this list (or the whole group must be S3) for membership in A_3.
@@ -40,10 +40,11 @@ class MembershipReport:
 
 def _scan(g: FiniteGroup, k: int, cls: str, mode: str) -> MembershipReport:
     checked = 0
-    for s in enumerate_symmetric_sets(g, k, mode):
+    # The first failing set is the least member of its orbit, so deciding
+    # one set per orbit keeps the witness and the count of a full scan.
+    for s, decides in symmetric_sets_by_orbit(g, k, mode):
         checked += 1
-        ok, _rep = is_integral_cayley(g, s)
-        if not ok:
+        if decides and not is_integral_cayley(g, s)[0]:
             return MembershipReport(
                 group_id=g.label,
                 cls=cls,

@@ -36,13 +36,13 @@ def _load_document(path: Path) -> FiniteGroup:
 
 
 def _load_group(args: argparse.Namespace) -> FiniteGroup:
-    if getattr(args, "spec", None):
+    if args.spec is not None:
         return construct(args.spec)
     return _load_document(Path(args.file))
 
 
 def _resolve_set(g: FiniteGroup, args: argparse.Namespace) -> tuple[int, ...]:
-    if args.set_indices:
+    if args.set_indices is not None:
         try:
             return tuple(int(tok) for tok in args.set_indices.split(",") if tok.strip())
         except ValueError:

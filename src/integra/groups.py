@@ -7,6 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from math import lcm
+from typing import Iterator
 
 ORDER_BOUND = 500
 
@@ -417,6 +418,8 @@ def _split_terms(spec: str) -> list[str]:
     for ch in spec:
         if ch == "(":
             depth += 1
+            if depth > 32:
+                raise ValueError("spec nested deeper than 32 levels")
         elif ch == ")":
             depth -= 1
             if depth < 0:
@@ -452,6 +455,9 @@ def _construct_term(term: str) -> FiniteGroup:
                 raise ValueError(f"bad involution index in {term!r}")
             return generalized_dicyclic(construct(base_spec), int(idx_text))
         return generalized_dicyclic(construct(inner))
+    m = re.fullmatch(r"(?:sym|alt|perm):(\d+)(?::.*)?", term, re.S)
+    if m and int(m.group(1)) > ORDER_BOUND:
+        raise ValueError(f"permutation degree exceeds {ORDER_BOUND}")
     m = re.fullmatch(r"cyclic:(\d+)", term)
     if m:
         return cyclic(int(m.group(1)))
@@ -588,6 +594,56 @@ def closure(g: FiniteGroup, gens) -> Subgroup:
     lbl = f"sub({g.label};{','.join(str(x) for x in sorted(set(gl)))})"
     sub = FiniteGroup(m, 0, table, inv, names, (), lbl)
     return Subgroup(g, tuple(sorted(bfs)), sub, tuple(bfs))
+
+
+def _forced_map(g: FiniteGroup, gens, images) -> list[int] | None:
+    """The map forced by gens[i] -> images[i] on <gens>, found breadth-first
+    over right products (-1 off the subgroup); None when it is not a
+    well-defined injection."""
+    t, e = g.table, g.identity
+    phi, hit, bfs = [-1] * g.order, {e}, [e]
+    phi[e] = e
+    for x in bfs:
+        row, img_row = t[x], t[phi[x]]
+        for a, b in zip(gens, images):
+            y, w = row[a], img_row[b]
+            if phi[y] < 0 and w not in hit:
+                phi[y] = w
+                hit.add(w)
+                bfs.append(y)
+            elif phi[y] != w:
+                return None
+    return phi
+
+
+def automorphisms(g: FiniteGroup) -> Iterator[tuple[int, ...]]:
+    """Every automorphism of g, lazily, as the tuple of images of 0..order-1.
+
+    Generators are picked greedily, largest element order first (imported
+    tables bind none); their images range over elements of equal order in
+    index order, and a partial choice is dropped once the map it forces on the
+    generated subgroup is not a well-defined injection.
+    """
+    orders = element_orders(g)
+    gens: list[int] = []
+    span = _forced_map(g, gens, gens)
+    for x in sorted(range(g.order), key=lambda i: (-orders[i], i)):
+        if span[x] < 0:
+            gens.append(x)
+            span = _forced_map(g, gens, gens)
+    pools = [[y for y in range(g.order) if orders[y] == orders[x]] for x in gens]
+
+    def extend(images: list[int], phi: list[int]) -> Iterator[tuple[int, ...]]:
+        depth = len(images)
+        if depth == len(gens):
+            yield tuple(phi)
+            return
+        for y in pools[depth]:
+            nxt = _forced_map(g, gens[: depth + 1], images + [y])
+            if nxt is not None:
+                yield from extend(images + [y], nxt)
+
+    yield from extend([], _forced_map(g, (), ()))
 
 
 def element_orders(g: FiniteGroup) -> tuple[int, ...]:

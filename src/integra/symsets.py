@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
-from typing import Iterator
+from typing import Collection, Iterator
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, automorphisms
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,8 @@ def _lex_exact(g: FiniteGroup, size: int) -> Iterator[tuple[int, ...]]:
     inv = g.inv
 
     def rec(acc: list[int], start: int, pending: tuple[int, ...], need: int):
+        if need + len(pending) > n - start:  # too few indices left to fill
+            return
         if need == 0 and not pending:
             yield tuple(acc)
             return
@@ -84,9 +87,44 @@ def enumerate_symmetric_sets(
         raise ValueError("set size must be at least 1")
     if mode not in ("exact", "at_most"):
         raise ValueError(f"unknown mode {mode!r}")
-    sizes = range(1, k + 1) if mode == "at_most" else (k,)
+    sizes = range(1, min(k, g.order - 1) + 1) if mode == "at_most" else (k,)
     for size in sizes:
         yield from _lex_exact(g, size)
+
+
+# Orbits are formed only when Aut(G) has at most this many elements. Listing
+# and applying a larger one (GL(4,2) on Z2^4 has 20160) costs more than the
+# verdicts it saves at small valencies, so every set stays its own orbit.
+_AUT_LIMIT = 2048
+
+
+def symmetric_sets_by_orbit(
+    g: FiniteGroup, k: int, mode: str = "exact"
+) -> Iterator[tuple[tuple[int, ...], Collection[tuple[int, ...]]]]:
+    """Every set of enumerate_symmetric_sets, in its order, with the sets its
+    verdict decides. A set of size at most 2 decides itself (it generates a
+    cyclic or dihedral subgroup, so its verdict is cheap). From size 3 on,
+    Aut(G) is computed once; Cay(G,S) and Cay(G,phi(S)) are isomorphic, so the
+    least member of an orbit, which the stream meets first, decides the whole
+    orbit and every other member decides nothing.
+    """
+    autos = None
+    ahead: set[tuple[int, ...]] = set()
+    for s in enumerate_symmetric_sets(g, k, mode):
+        if len(s) <= 2:
+            yield s, (s,)
+        elif s in ahead:
+            ahead.remove(s)
+            yield s, ()
+        else:
+            if autos is None:
+                autos = list(islice(automorphisms(g), _AUT_LIMIT + 1))
+                if len(autos) > _AUT_LIMIT:
+                    autos = [tuple(range(g.order))]
+            orbit = {tuple(sorted(phi[x] for x in s)) for phi in autos}
+            ahead |= orbit
+            ahead.remove(s)
+            yield s, orbit
 
 
 def count_symmetric_sets(g: FiniteGroup, k: int, mode: str = "exact") -> int:
@@ -98,7 +136,7 @@ def count_symmetric_sets(g: FiniteGroup, k: int, mode: str = "exact") -> int:
     part = inverse_partition(g)
     ni = len(part.involutions)
     np_ = len(part.pairs)
-    sizes = range(1, k + 1) if mode == "at_most" else (k,)
+    sizes = range(1, min(k, g.order - 1) + 1) if mode == "at_most" else (k,)
     total = 0
     for size in sizes:
         for b in range(size // 2 + 1):

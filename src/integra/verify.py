@@ -29,7 +29,7 @@ from .groups import (
 )
 from .polys import IntPolynomial
 from .spectra import cayley_adjacency, char_poly, is_integral_cayley
-from .symsets import count_symmetric_sets, enumerate_symmetric_sets
+from .symsets import count_symmetric_sets, symmetric_sets_by_orbit
 
 
 @dataclass(frozen=True)
@@ -352,16 +352,17 @@ def _claim_c17() -> tuple[bool, dict]:
     violations: list[dict] = []
     for name, g in catalog_groups():
         connected = integral = 0
-        for s in enumerate_symmetric_sets(g, 3):
-            if len(closure(g, s).members) != g.order:
+        bad: set[tuple[int, ...]] = set()
+        for s, decides in symmetric_sets_by_orbit(g, 3):
+            if not decides or len(closure(g, s).members) != g.order:
                 continue
-            connected += 1
-            ok, _rep = is_integral_cayley(g, s)
-            if ok:
-                integral += 1
+            connected += len(decides)
+            if is_integral_cayley(g, s)[0]:
+                integral += len(decides)
                 if name not in allowed:
-                    violations.append({"group": name, "set": list(s)})
+                    bad.update(decides)
         rows[name] = {"connected_cubic": connected, "integral": integral}
+        violations.extend({"group": name, "set": list(s)} for s in sorted(bad))
     return not violations, {
         "allowed": allowed,
         "groups": rows,

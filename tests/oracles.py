@@ -1,9 +1,11 @@
-"""Spectrum oracles independent of the library's characteristic-polynomial route.
+"""Oracles independent of the library's shortcuts.
 
 An exact-rank reference that works for every group: the multiplicity of each
 candidate eigenvalue lam of a k-regular graph is n - rank(A - lam*I), by
-fraction-free elimination, for every lam in [-k, k]. And a floating-point
-character-sum oracle for abelian groups.
+fraction-free elimination, for every lam in [-k, k]. A floating-point
+character-sum oracle for abelian groups. A plain membership scan that decides
+every connection set, with no automorphism orbits. And a random relabelling
+of a group table, as an imported document would carry it.
 """
 
 from __future__ import annotations
@@ -11,9 +13,11 @@ from __future__ import annotations
 import cmath
 from itertools import product
 
-from integra.groups import FiniteGroup, from_table, is_abelian
+from integra.classify import MembershipReport
+from integra.groups import FiniteGroup, closure, from_table, is_abelian
 from integra.polys import IntPolynomial
-from integra.spectra import AdjMatrix, SpectrumReport, char_poly
+from integra.spectra import AdjMatrix, SpectrumReport, char_poly, is_integral_cayley
+from integra.symsets import enumerate_symmetric_sets
 
 IMAG_TOL = 1e-9
 INT_TOL = 1e-6
@@ -180,3 +184,46 @@ def oracle_spectrum(g: FiniteGroup, s) -> dict[int, int]:
     for v in character_eigenvalues(g, s):
         counts[round(v)] = counts.get(round(v), 0) + 1
     return counts
+
+
+def plain_scan(g: FiniteGroup, k: int, cls: str) -> MembershipReport:
+    """A_k ("A") or G_k ("G") membership by deciding every set in enumeration order."""
+    checked = 0
+    for s in enumerate_symmetric_sets(g, k, "exact" if cls == "A" else "at_most"):
+        checked += 1
+        if not is_integral_cayley(g, s)[0]:
+            names = tuple(g.names[x] for x in s)
+            return MembershipReport(g.label, cls, k, False, False, s, names, checked)
+    return MembershipReport(g.label, cls, k, True, checked == 0, None, None, checked)
+
+
+def plain_cubic_census(g: FiniteGroup) -> tuple[dict[str, int], list[tuple[int, ...]]]:
+    """C17's row for g, counted over every cubic set, and its integral connected sets."""
+    integral_sets = []
+    connected = 0
+    for s in enumerate_symmetric_sets(g, 3):
+        if len(closure(g, s).members) == g.order:
+            connected += 1
+            if is_integral_cayley(g, s)[0]:
+                integral_sets.append(s)
+    row = {"connected_cubic": connected, "integral": len(integral_sets)}
+    return row, integral_sets
+
+
+def relabelled_document(g: FiniteGroup, rng) -> tuple[dict, list[int]]:
+    """g's ftg-1 document under a random relabelling that moves the identity
+    off index 0, with the map old index -> new index."""
+    n = g.order
+    new = list(range(n))
+    while new[g.identity] == 0 and n > 1:
+        rng.shuffle(new)
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            table[new[i]][new[j]] = new[g.table[i][j]]
+    names = [""] * n
+    for i in range(n):
+        names[new[i]] = g.names[i]
+    doc = {"format": "ftg-1", "order": n, "identity": new[g.identity],
+           "table": table, "names": names}
+    return doc, new

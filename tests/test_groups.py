@@ -4,6 +4,7 @@ import random
 import time
 
 import pytest
+from oracles import relabelled_document
 
 from integra.groups import (
     ORDER_BOUND,
@@ -194,6 +195,32 @@ def test_from_table_rejects_non_associative_loop():
     doc = {"format": "ftg-1", "order": 5, "identity": 0, "table": rows,
            "names": ["e", "p", "q", "r", "s"]}
     with pytest.raises(ValueError, match="associative"):
+        from_table(doc)
+
+
+def test_from_table_rejects_switched_subsquare():
+    # Switching the 2x2 subsquare on rows x, x*t and columns v, t*v (t an
+    # involution) keeps a Latin square with the identity row and column, but
+    # x*(t*v) != (x*t)*v afterwards.
+    rng = random.Random(72)
+    g = construct("sym:4 x cyclic:3")
+    doc, new = relabelled_document(g, rng)
+    assert doc["order"] == 72 and doc["identity"] != 0
+    t = next(i for i in range(g.order) if g.element_order(i) == 2)
+    x, v = (rng.choice([i for i in range(g.order) if i not in (g.identity, t)]) for _ in range(2))
+    rows, cols = (x, g.mul(x, t)), (v, g.mul(t, v))
+    table = doc["table"]
+    (a, b), (c, d) = ([table[new[r]][new[col]] for col in cols] for r in rows)
+    assert (a, b) == (d, c)
+    for r in rows:
+        for col in cols:
+            table[new[r]][new[col]] = b if table[new[r]][new[col]] == a else a
+    ident = doc["identity"]
+    full = list(range(g.order))
+    assert all(sorted(row) == full for row in table)
+    assert all(sorted(col) == full for col in zip(*table))
+    assert table[ident] == full and [row[ident] for row in table] == full
+    with pytest.raises(ValueError, match="not associative"):
         from_table(doc)
 
 

@@ -1,0 +1,175 @@
+"""Seeded malformed-input cases: each exits 2 with an error message, fast.
+
+Every case is malformed by construction: a spec cut where a term cannot end
+or holding a character no spec uses, an ftg-1 document with one field of the
+wrong type, size or value, and --set-indices / --k values that are not
+element indices or not valid valencies.
+"""
+
+import copy
+import json
+import random
+import time
+
+from integra.cli import main
+from integra.groups import construct, to_document
+
+SEED = 20261018
+SPECS = (
+    "cyclic:12",
+    "dihedral:8",
+    "quaternion x cyclic:2",
+    "dic(cyclic:3 x cyclic:6)",
+    "dic(cyclic:6@3)",
+    "sym:4",
+    "alt:4 x cyclic:2",
+    "perm:4:(1,2);(1,2,3,4)",
+    "heisenberg:3",
+    "sl:2:3",
+)
+FOREIGN = "#$%?!&~[]{}<>|\\\"'`"
+DOC_SPECS = ("cyclic:6", "sym:3", "quaternion", "dihedral:12")
+SPECTRUM_GROUP = "dihedral:8"
+
+
+def _cut_specs(rng):
+    # A prefix ending in "(", ":", "@", ",", ";" or "x " leaves a parenthesis
+    # open or a term, generator or index without its body.
+    out = []
+    for spec in SPECS:
+        cuts = [i + 1 for i, ch in enumerate(spec) if ch in "(:@,;"]
+        cuts += [i + 2 for i in range(len(spec) - 1) if spec[i : i + 2] == "x "]
+        out.extend(spec[:i] for i in rng.sample(cuts, min(2, len(cuts))))
+    return out
+
+
+def _garbled_specs(rng):
+    out = []
+    for spec in SPECS:
+        for _ in range(3):
+            i = rng.randrange(len(spec) + 1)
+            out.append(spec[:i] + rng.choice(FOREIGN) + spec[i:])
+    out += [
+        "",
+        "   ",
+        "x",
+        "cyclic:4 x",
+        "cyclic:0",
+        "cyclic:" + "9" * 5000,
+        "sym:" + str(10**9),
+        "perm:" + str(10**8) + ":(1,2)",
+        "dic(" * 3000 + "cyclic:4" + ")" * 3000,
+        "dic(cyclic:4@99)",
+        "dic(cyclic:3)",
+        "dihedral:7",
+    ]
+    return out
+
+
+def _bad_documents(rng):
+    def wrong(doc, n):
+        key = rng.choice(("format", "order", "table", "row", "entry", "identity", "names"))
+        if key == "format":
+            doc["format"] = rng.choice((None, "ftg-2", 1, ["ftg-1"]))
+        elif key == "order":
+            doc["order"] = rng.choice((str(n), float(n), None, [n], n + 1, n - 1, 0, -n, 10**6))
+        elif key == "table":
+            doc["table"] = rng.choice((None, "table", {"0": [0]}, doc["table"][:-1],
+                                       doc["table"] + [list(range(n))]))
+        elif key == "row":
+            i = rng.randrange(n)
+            row = doc["table"][i]
+            doc["table"][i] = rng.choice((None, "row", row[:-1], row + [0], {"0": 0}))
+        elif key == "entry":
+            i, j = rng.randrange(n), rng.randrange(n)
+            doc["table"][i][j] = rng.choice((-1, n, str(j), float(j) + 0.5, None, [j]))
+        elif key == "identity":
+            ident = doc["identity"]
+            doc["identity"] = rng.choice((str(ident), float(ident) + 0.5, [ident], -1, n,
+                                          rng.choice([i for i in range(n) if i != ident])))
+        else:
+            doc["names"] = rng.choice(("names", {"e": 0}, 7, doc["names"][:-1],
+                                       doc["names"] + ["z"]))
+        return doc
+
+    out = [[], "ftg-1", 3, None]
+    for spec in DOC_SPECS:
+        base = to_document(construct(spec))
+        out.extend(wrong(copy.deepcopy(base), base["order"]) for _ in range(8))
+    return out
+
+
+def _bad_set_indices(rng):
+    n = construct(SPECTRUM_GROUP).order
+    out = ["a", "1.5", "0x3", "1;2", "2,,x", "--", "1 2", "9" * 5000,
+           "0", "1", "2,2", str(n), str(-1), str(10**12)]
+    for _ in range(10):
+        out.append(",".join(str(rng.randrange(n, 10 * n)) for _ in range(rng.randrange(1, 4))))
+    return out
+
+
+BAD_K = ("0", "-1", "-40", "abc", "1.5", "", "3x", "1e2", "0x3")
+
+
+def _run(capsys, argv):
+    start = time.monotonic()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    elapsed = time.monotonic() - start
+    err = capsys.readouterr().err
+    assert code == 2, argv
+    assert "error:" in err, argv
+    assert "Traceback" not in err, argv
+    assert elapsed < 1.0, (argv, elapsed)
+
+
+def test_malformed_specs_exit_two(capsys):
+    for spec in SPECS:
+        construct(spec)
+    rng = random.Random(SEED)
+    specs = _cut_specs(rng) + _garbled_specs(rng)
+    assert len(specs) > 40
+    for spec in specs:
+        _run(capsys, ["construct", "--spec", spec])
+        _run(capsys, ["classify", "--spec", spec, "--class", "G", "--k", "2"])
+
+
+def test_malformed_documents_exit_two(capsys, tmp_path):
+    rng = random.Random(SEED + 1)
+    for i, doc in enumerate(_bad_documents(rng)):
+        case = tmp_path / f"case{i}"
+        case.mkdir()
+        path = case / "g.json"
+        path.write_text(json.dumps(doc))
+        _run(capsys, ["spectrum", "--file", str(path), "--set-indices", "1"])
+        _run(capsys, ["classify", "--file", str(path), "--class", "A", "--k", "2"])
+        _run(capsys, ["census", "--dir", str(case), "--k", "2"])
+
+
+def test_malformed_cli_values_exit_two(capsys):
+    rng = random.Random(SEED + 2)
+    for value in _bad_set_indices(rng):
+        _run(capsys, ["spectrum", "--spec", SPECTRUM_GROUP, "--set-indices", value])
+    for k in BAD_K:
+        for cls in ("A", "G"):
+            _run(capsys, ["classify", "--spec", SPECTRUM_GROUP, "--class", cls, "--k", k])
+
+
+def test_valency_beyond_the_group_is_answered_fast(capsys):
+    start = time.monotonic()
+    z2_5 = "cyclic:2 x cyclic:2 x cyclic:2 x cyclic:2 x cyclic:2"
+    for spec, cls, k, checked in ((z2_5, "A", 10**9, 0), (z2_5, "A", 31, 1),
+                                  ("cyclic:6", "G", 10**9, 7)):
+        assert main(["classify", "--spec", spec, "--class", cls, "--k", str(k)]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["sets_checked"] == checked and rep["vacuous"] is (checked == 0)
+    assert time.monotonic() - start < 1.0
+
+
+def test_empty_index_list_is_the_empty_set(capsys):
+    assert main(["spectrum", "--spec", "cyclic:6", "--set-indices", ""]) == 0
+    by_index = capsys.readouterr().out
+    assert main(["spectrum", "--spec", "cyclic:6", "--set-words", ""]) == 0
+    assert capsys.readouterr().out == by_index
