@@ -23,21 +23,13 @@ from .groups import (
     to_document,
 )
 from .polys import IntPolynomial
-from .spectra import (
-    AdjMatrix,
-    SpectrumReport,
-    cayley_adjacency,
-    char_poly,
-    integral_spectrum,
-    is_integral_cayley,
-)
+from .spectra import SpectrumReport, char_poly, is_integral_cayley
 from .symsets import count_symmetric_sets, enumerate_symmetric_sets, inverse_partition
 from .verify import Claim, ClaimResult, list_claims, run_all, run_claim
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjMatrix",
     "Claim",
     "ClaimResult",
     "FiniteGroup",
@@ -49,7 +41,6 @@ __all__ = [
     "a2_structural",
     "a3_structural",
     "catalog_groups",
-    "cayley_adjacency",
     "char_poly",
     "closure",
     "construct",
@@ -59,7 +50,6 @@ __all__ = [
     "g3_structural",
     "in_A_k",
     "in_G_k",
-    "integral_spectrum",
     "inverse_partition",
     "is_integral_cayley",
     "list_claims",

@@ -168,17 +168,3 @@ def nilpotent_g3_case(g: FiniteGroup) -> str:
             return "4"
     return "none"
 
-
-def report_to_dict(rep: MembershipReport) -> dict:
-    return {
-        "group": rep.group_id,
-        "class": rep.cls,
-        "k": rep.k,
-        "member": rep.member,
-        "vacuous": rep.vacuous,
-        "witness": list(rep.witness) if rep.witness is not None else None,
-        "witness_words": list(rep.witness_words)
-        if rep.witness_words is not None
-        else None,
-        "sets_checked": rep.sets_checked,
-    }

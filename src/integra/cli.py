@@ -5,13 +5,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .classify import in_A_k, in_G_k
-from .classify import report_to_dict as membership_to_dict
 from .groups import FiniteGroup, construct, from_table, parse_word, to_document
+from .polys import IntPolynomial
 from .spectra import SpectrumReport, is_integral_cayley
-from .spectra import report_to_dict as spectrum_to_dict
 from .verify import list_claims, result_to_dict, run_all
 
 
@@ -21,6 +21,15 @@ class CliError(Exception):
 
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
+
+
+_JSON_KEYS = {"group_id": "group", "cls": "class"}
+
+
+def _report_to_dict(rep) -> dict:
+    """A spectrum or membership report as JSON-ready fields, polynomials as coefficients."""
+    doc = {_JSON_KEYS.get(f.name, f.name): getattr(rep, f.name) for f in fields(rep)}
+    return {k: v.coeffs if isinstance(v, IntPolynomial) else v for k, v in doc.items()}
 
 
 def _load_document(path: Path) -> FiniteGroup:
@@ -78,7 +87,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     s = _resolve_set(g, args)
     ok, rep = is_integral_cayley(g, s)
     if args.json:
-        print(_canonical(spectrum_to_dict(rep)))
+        print(_canonical(_report_to_dict(rep)))
     if args.table:
         _spectrum_table(rep, sys.stderr)
     return 0 if ok else 1
@@ -88,7 +97,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     g = _load_group(args)
     rep = in_A_k(g, args.k) if args.cls == "A" else in_G_k(g, args.k)
     if args.json:
-        print(_canonical(membership_to_dict(rep)))
+        print(_canonical(_report_to_dict(rep)))
     if args.table:
         verdict = "member" if rep.member else "non-member"
         extra = " (vacuous)" if rep.vacuous else ""
@@ -104,6 +113,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     claim_filter = None if args.all else args.claim
+    if claim_filter == "":
+        raise CliError("empty --claim value")
     summary = run_all(claim_filter)
     if claim_filter is not None and not summary.results:
         raise CliError(f"no claims match: {claim_filter}")
@@ -119,6 +130,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise CliError("k must be at least 1")
     root = Path(args.dir)
     if not root.is_dir():
         raise CliError(f"not a directory: {args.dir}")
@@ -129,7 +142,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
         g = _load_document(path)
         for cls in ("A", "G"):
             rep = in_A_k(g, args.k) if cls == "A" else in_G_k(g, args.k)
-            reports.append(membership_to_dict(rep))
+            reports.append(_report_to_dict(rep))
             rows.append(rep)
             all_member = all_member and rep.member
     if args.json:

@@ -64,12 +64,10 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup with its induced group and the embedding into the parent."""
+    """A subgroup's sorted member indices and its induced group."""
 
-    parent: FiniteGroup
     members: tuple[int, ...]
     group: FiniteGroup
-    embed: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -505,7 +503,8 @@ def from_table(doc: dict, label: str = "imported") -> FiniteGroup:
         raise ValueError("not an ftg-1 document")
     n = doc.get("order")
     table = doc.get("table")
-    if not isinstance(n, int) or n < 1:
+    # type(), not isinstance(): JSON true/false load as bool, an int subclass.
+    if type(n) is not int or n < 1:
         raise ValueError("bad order")
     if n > ORDER_BOUND:
         raise ValueError(f"group order exceeds {ORDER_BOUND}")
@@ -515,7 +514,7 @@ def from_table(doc: dict, label: str = "imported") -> FiniteGroup:
     for row in table:
         if not isinstance(row, list) or len(row) != n:
             raise ValueError("table size does not match order")
-        if any(not isinstance(v, int) or v < 0 or v >= n for v in row):
+        if any(type(v) is not int or v < 0 or v >= n for v in row):
             raise ValueError("table entry out of range")
         rows.append(tuple(row))
     full = set(range(n))
@@ -539,7 +538,7 @@ def from_table(doc: dict, label: str = "imported") -> FiniteGroup:
         if ident is None:
             raise ValueError("no identity")
     else:
-        if not isinstance(ident, int) or ident < 0 or ident >= n:
+        if type(ident) is not int or ident < 0 or ident >= n:
             raise ValueError("bad identity index")
         if any(rows[ident][j] != j for j in range(n)) or any(
             rows[j][ident] != j for j in range(n)
@@ -593,7 +592,7 @@ def closure(g: FiniteGroup, gens) -> Subgroup:
     names = tuple(g.names[a] for a in bfs)
     lbl = f"sub({g.label};{','.join(str(x) for x in sorted(set(gl)))})"
     sub = FiniteGroup(m, 0, table, inv, names, (), lbl)
-    return Subgroup(g, tuple(sorted(bfs)), sub, tuple(bfs))
+    return Subgroup(tuple(sorted(bfs)), sub)
 
 
 def _forced_map(g: FiniteGroup, gens, images) -> list[int] | None:

@@ -56,21 +56,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def __add__(self, other: IntPolynomial) -> IntPolynomial:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(_trim(out))
-
-    def __neg__(self) -> IntPolynomial:
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: IntPolynomial) -> IntPolynomial:
-        return self + (-other)
-
     def __mul__(self, other: IntPolynomial) -> IntPolynomial:
         if self.is_zero() or other.is_zero():
             return IntPolynomial.zero()
@@ -90,8 +75,9 @@ class IntPolynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def divmod_by(self, divisor: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:

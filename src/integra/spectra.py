@@ -1,18 +1,11 @@
-"""Cayley adjacency matrices and exact integrality decisions for their spectra."""
+"""Exact integrality decisions for the spectra of Cayley graphs."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import FiniteGroup, closure
+from .groups import FiniteGroup
 from .polys import IntPolynomial
-
-
-@dataclass(frozen=True)
-class AdjMatrix:
-    n: int
-    rows: tuple[tuple[int, ...], ...]
-    degree: int
 
 
 @dataclass(frozen=True)
@@ -27,7 +20,6 @@ class SpectrumReport:
     components: int
     subgroup_order: int
     index: int
-    sub: "SpectrumReport | None" = None
 
 
 def validate_connection_set(g: FiniteGroup, s) -> tuple[int, ...]:
@@ -45,28 +37,27 @@ def validate_connection_set(g: FiniteGroup, s) -> tuple[int, ...]:
     return out
 
 
-def cayley_adjacency(g: FiniteGroup, s) -> AdjMatrix:
-    """Adjacency of Cay(G,S): vertex x joined to s*x for each s in S."""
-    sset = validate_connection_set(g, s)
-    n = g.order
-    rows = []
-    for x in range(n):
-        row = [0] * n
-        for t in sset:
-            row[g.table[t][x]] = 1
-        rows.append(tuple(row))
-    return AdjMatrix(n, tuple(rows), len(sset))
+def char_poly(g: FiniteGroup, s) -> IntPolynomial:
+    """det(xI - A) for the component of Cay(G,S) that holds the identity.
 
-
-def char_poly(a: AdjMatrix) -> IntPolynomial:
-    """Characteristic polynomial det(xI - A) via the Faddeev-LeVerrier recurrence.
-
-    Every division in the recurrence is exact over the integers; the 0/1
-    structure of A lets each matrix product reduce to row sums over neighbor
-    lists.
+    That component is Cay(<S>, S), vertex x joined to s*x for each s in S;
+    when S generates G it is the whole graph. The vertices are numbered
+    breadth-first from the identity, and the Faddeev-LeVerrier recurrence
+    runs on the neighbour lists. Every division in it is exact over the
+    integers, and each matrix product reduces to row sums over those lists.
     """
-    n = a.n
-    nbrs = [[j for j, v in enumerate(row) if v] for row in a.rows]
+    sset = validate_connection_set(g, s)
+    t = g.table
+    verts = [g.identity]
+    pos = {g.identity: 0}
+    for x in verts:
+        for a in sset:
+            y = t[a][x]
+            if y not in pos:
+                pos[y] = len(verts)
+                verts.append(y)
+    nbrs = [[pos[t[a][x]] for a in sset] for x in verts]
+    n = len(verts)
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     desc = [1]
     for k in range(1, n + 1):
@@ -93,15 +84,19 @@ def char_poly(a: AdjMatrix) -> IntPolynomial:
     return IntPolynomial(tuple(reversed(desc)))
 
 
-def integral_spectrum(a: AdjMatrix) -> SpectrumReport:
-    """Decide integrality by factoring the characteristic polynomial exactly.
+def is_integral_cayley(g: FiniteGroup, s) -> tuple[bool, SpectrumReport]:
+    """Verdict and spectrum report for Cay(G,S).
 
-    Every eigenvalue of a k-regular graph lies in [-k, k], so dividing out
-    x - lam for each integer root in that range leaves a residual of degree 0
-    exactly when the spectrum is integral.
+    Cay(G,S) is [G:H] disjoint copies of Cay(H,S) for H the subgroup S
+    generates, so the characteristic polynomial is the H-graph's raised to the
+    index and multiplicities scale by the index. Every eigenvalue of a
+    k-regular graph lies in [-k, k], so dividing out x - lam for each integer
+    root in that range leaves a residual of degree 0 exactly when the
+    spectrum is integral.
     """
-    n, k = a.n, a.degree
-    res = char_poly(a)
+    res = char_poly(g, s)
+    deg, k = res.degree, len(s)
+    index = g.order // deg
     mults: dict[int, int] = {}
     for lam in range(k, -k - 1, -1):
         m = 0
@@ -112,56 +107,15 @@ def integral_spectrum(a: AdjMatrix) -> SpectrumReport:
                 raise AssertionError("inexact division by confirmed root")
             m += 1
         if m:
-            mults[lam] = m
-    return SpectrumReport(
-        n=n,
+            mults[lam] = m * index
+    rep = SpectrumReport(
+        n=g.order,
         degree=k,
         integral=res.degree == 0,
         eigenvalues=tuple(sorted(mults.items(), reverse=True)),
-        residual=res,
+        residual=res**index,
         components=mults.get(k, 0),
-        subgroup_order=n,
-        index=1,
-    )
-
-
-def is_integral_cayley(g: FiniteGroup, s) -> tuple[bool, SpectrumReport]:
-    """Verdict for Cay(G,S), computed on the generated subgroup and lifted.
-
-    Cay(G,S) is [G:H] disjoint copies of Cay(H,S) for H the subgroup S
-    generates, so the characteristic polynomial is the H-graph's raised to the
-    index and multiplicities scale by the index.
-    """
-    sset = validate_connection_set(g, s)
-    sub = closure(g, sset)
-    pos = {parent: i for i, parent in enumerate(sub.embed)}
-    s_h = sorted(pos[x] for x in sset)
-    rep_h = integral_spectrum(cayley_adjacency(sub.group, s_h))
-    index = g.order // sub.group.order
-    if index == 1:
-        return rep_h.integral, rep_h
-    lifted = SpectrumReport(
-        n=g.order,
-        degree=rep_h.degree,
-        integral=rep_h.integral,
-        eigenvalues=tuple((lam, m * index) for lam, m in rep_h.eigenvalues),
-        residual=rep_h.residual**index,
-        components=rep_h.components * index,
-        subgroup_order=sub.group.order,
+        subgroup_order=deg,
         index=index,
-        sub=rep_h,
     )
-    return lifted.integral, lifted
-
-
-def report_to_dict(rep: SpectrumReport) -> dict:
-    return {
-        "n": rep.n,
-        "degree": rep.degree,
-        "integral": rep.integral,
-        "eigenvalues": [[lam, m] for lam, m in rep.eigenvalues],
-        "residual": list(rep.residual.coeffs),
-        "components": rep.components,
-        "subgroup_order": rep.subgroup_order,
-        "index": rep.index,
-    }
+    return rep.integral, rep

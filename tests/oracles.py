@@ -1,11 +1,13 @@
 """Oracles independent of the library's shortcuts.
 
-An exact-rank reference that works for every group: the multiplicity of each
-candidate eigenvalue lam of a k-regular graph is n - rank(A - lam*I), by
-fraction-free elimination, for every lam in [-k, k]. A floating-point
-character-sum oracle for abelian groups. A plain membership scan that decides
-every connection set, with no automorphism orbits. And a random relabelling
-of a group table, as an imported document would carry it.
+An exact whole-graph reference that works for every group: it builds the
+dense adjacency of all of Cay(G,S), takes the multiplicity of each candidate
+eigenvalue lam of the k-regular graph as n - rank(A - lam*I), by
+fraction-free elimination, for every lam in [-k, k], and the characteristic
+polynomial from the traces of the powers of A by Newton's identities. A
+floating-point character-sum oracle for abelian groups. A plain membership
+scan that decides every connection set, with no automorphism orbits. And a
+random relabelling of a group table, as an imported document would carry it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import product
 from integra.classify import MembershipReport
 from integra.groups import FiniteGroup, closure, from_table, is_abelian
 from integra.polys import IntPolynomial
-from integra.spectra import AdjMatrix, SpectrumReport, char_poly, is_integral_cayley
+from integra.spectra import SpectrumReport, is_integral_cayley
 from integra.symsets import enumerate_symmetric_sets
 
 IMAG_TOL = 1e-9
@@ -57,42 +59,78 @@ def _bareiss_rank(rows: list[list[int]], n: int) -> int:
     return rank
 
 
-def eigen_multiplicity(a: AdjMatrix, lam: int) -> int:
+def cayley_rows(g: FiniteGroup, s) -> list[list[int]]:
+    """Dense 0/1 adjacency of all of Cay(G,S): row x has a 1 at s*x for each s in S."""
+    rows = [[0] * g.order for _ in range(g.order)]
+    for x in range(g.order):
+        for a in s:
+            rows[x][g.table[a][x]] = 1
+    return rows
+
+
+def eigen_multiplicity(rows: list[list[int]], lam: int) -> int:
     """Multiplicity of lam as an eigenvalue: n - rank(A - lam*I), exactly."""
-    n = a.n
-    rows = [list(r) for r in a.rows]
+    n = len(rows)
+    shifted = [list(r) for r in rows]
     for i in range(n):
-        rows[i][i] -= lam
-    return n - _bareiss_rank(rows, n)
+        shifted[i][i] -= lam
+    return n - _bareiss_rank(shifted, n)
 
 
-def rank_spectrum(a: AdjMatrix) -> SpectrumReport:
-    """The library's report rebuilt from exact ranks at every lam in [-k, k].
+def newton_char_poly(rows: list[list[int]]) -> IntPolynomial:
+    """det(xI - A) from the power sums p_j = tr(A^j) by Newton's identities,
+    j * e_j = sum_{i=1..j} (-1)^(i-1) e_(j-i) p_i."""
+    n = len(rows)
+    nbrs = [[c for c, v in enumerate(r) if v] for r in rows]
+    power = [list(r) for r in rows]
+    sums = [0]
+    for j in range(1, n + 1):
+        sums.append(sum(power[i][i] for i in range(n)))
+        if j < n:
+            power = [
+                [sum(col) for col in zip(*(power[c] for c in nbrs[i]))] if nbrs[i] else [0] * n
+                for i in range(n)
+            ]
+    e = [1]
+    for j in range(1, n + 1):
+        acc = sum((-1) ** (i - 1) * e[j - i] * sums[i] for i in range(1, j + 1))
+        if acc % j:
+            raise AssertionError("inexact division in Newton's identities")
+        e.append(acc // j)
+    return IntPolynomial(tuple((-1) ** j * e[j] for j in range(n, -1, -1)))
 
-    The residual is the characteristic polynomial with the rank-confirmed
-    factors divided out; an inexact division means the ranks and the
-    polynomial disagree.
+
+def rank_spectrum(g: FiniteGroup, s) -> SpectrumReport:
+    """The library's report for Cay(G,S), rebuilt on the whole graph.
+
+    Multiplicities come from exact ranks at every lam in [-k, k], and the
+    residual is the Newton's-identity characteristic polynomial with the
+    rank-confirmed factors divided out; an inexact division means the ranks
+    and the polynomial disagree. The graph has one component per unit of
+    multiplicity of k.
     """
-    n, k = a.n, a.degree
+    rows = cayley_rows(g, s)
+    n, k = g.order, len(s)
     mults = {}
     for lam in range(k, -k - 1, -1):
-        m = eigen_multiplicity(a, lam)
+        m = eigen_multiplicity(rows, lam)
         if m:
             mults[lam] = m
-    residual = char_poly(a)
+    residual = newton_char_poly(rows)
     for lam, m in mults.items():
         residual, rem = residual.divmod_by(IntPolynomial.linear_root(lam) ** m)
         if not rem.is_zero():
             raise AssertionError(f"rank multiplicity {m} of {lam} does not divide the char poly")
+    components = mults[k]
     return SpectrumReport(
         n=n,
         degree=k,
         integral=sum(mults.values()) == n,
         eigenvalues=tuple(sorted(mults.items(), reverse=True)),
         residual=residual,
-        components=mults.get(k, 0),
-        subgroup_order=n,
-        index=1,
+        components=components,
+        subgroup_order=n // components,
+        index=components,
     )
 
 

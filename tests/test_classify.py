@@ -9,7 +9,6 @@ from integra.classify import (
     in_A_k,
     in_G_k,
     nilpotent_g3_case,
-    report_to_dict,
 )
 from integra.groups import construct, cyclic
 
@@ -100,13 +99,3 @@ def test_nilpotent_case_rejects_non_nilpotent():
     with pytest.raises(ValueError):
         nilpotent_g3_case(construct("sym:3"))
 
-
-def test_report_dict_shape():
-    rep = in_A_k(construct("dihedral:8"), 3)
-    doc = report_to_dict(rep)
-    assert set(doc) == {
-        "group", "class", "k", "member", "vacuous",
-        "witness", "witness_words", "sets_checked",
-    }
-    assert doc["class"] == "A"
-    assert doc["witness"] == [2, 3, 4]

@@ -59,6 +59,16 @@ def test_spectrum_integral_exits_zero(capsys):
     assert doc["eigenvalues"] == [[2, 1], [1, 2], [-1, 2], [-2, 1]]
 
 
+def test_spectrum_report_dict_shape(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "--spec", "cyclic:12", "--set-indices", "3,9")
+    assert code == 0
+    assert json.loads(out) == {
+        "n": 12, "degree": 2, "integral": True,
+        "eigenvalues": [[2, 3], [0, 6], [-2, 3]], "residual": [1],
+        "components": 3, "subgroup_order": 4, "index": 3,
+    }
+
+
 def test_spectrum_table_only(capsys):
     code, out, err = run_cli(
         capsys, "spectrum", "--spec", "cyclic:6", "--set-indices", "1,5", "--table"
@@ -77,6 +87,15 @@ def test_classify_exit_codes(capsys):
     doc = json.loads(out)
     assert doc["member"] is False
     assert doc["witness"] == [2, 3, 4]
+
+
+def test_classify_report_dict_shape(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--spec", "dihedral:8", "--class", "A", "--k", "3")
+    assert code == 1
+    assert json.loads(out) == {
+        "group": "dihedral:8", "class": "A", "k": 3, "member": False, "vacuous": False,
+        "witness": [2, 3, 4], "witness_words": ["b", "a^2", "a*b"], "sets_checked": 6,
+    }
 
 
 def test_classify_from_file(capsys, tmp_path):

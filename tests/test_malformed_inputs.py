@@ -2,8 +2,8 @@
 
 Every case is malformed by construction: a spec cut where a term cannot end
 or holding a character no spec uses, an ftg-1 document with one field of the
-wrong type, size or value, and --set-indices / --k values that are not
-element indices or not valid valencies.
+wrong type, size or value, and --set-indices / --k / --claim values that are
+not element indices, valid valencies or claim ids.
 """
 
 import copy
@@ -92,7 +92,13 @@ def _bad_documents(rng):
                                        doc["names"] + ["z"]))
         return doc
 
-    out = [[], "ftg-1", 3, None]
+    # JSON true and false are not orders or indices, although bool is an int.
+    out = [[], "ftg-1", 3, None,
+           {"format": "ftg-1", "order": True, "identity": False, "table": [[False]]},
+           {"format": "ftg-1", "order": True, "identity": 0, "table": [[0]]},
+           {"format": "ftg-1", "order": 1, "identity": False, "table": [[0]]},
+           {"format": "ftg-1", "order": 1, "identity": 0, "table": [[False]]},
+           {"format": "ftg-1", "order": 2, "identity": 0, "table": [[0, True], [True, 0]]}]
     for spec in DOC_SPECS:
         base = to_document(construct(spec))
         out.extend(wrong(copy.deepcopy(base), base["order"]) for _ in range(8))
@@ -148,13 +154,17 @@ def test_malformed_documents_exit_two(capsys, tmp_path):
         _run(capsys, ["census", "--dir", str(case), "--k", "2"])
 
 
-def test_malformed_cli_values_exit_two(capsys):
+def test_malformed_cli_values_exit_two(capsys, tmp_path):
     rng = random.Random(SEED + 2)
     for value in _bad_set_indices(rng):
         _run(capsys, ["spectrum", "--spec", SPECTRUM_GROUP, "--set-indices", value])
     for k in BAD_K:
         for cls in ("A", "G"):
             _run(capsys, ["classify", "--spec", SPECTRUM_GROUP, "--class", cls, "--k", k])
+        # an empty directory holds no document to check the bound on
+        _run(capsys, ["census", "--dir", str(tmp_path), "--k", k])
+    _run(capsys, ["census", "--dir", str(tmp_path), "--k", "-3"])
+    _run(capsys, ["verify", "--claim", ""])
 
 
 def test_valency_beyond_the_group_is_answered_fast(capsys):

@@ -3,53 +3,38 @@
 import random
 
 import pytest
-from oracles import eigen_multiplicity, rank_spectrum
+from oracles import cayley_rows, eigen_multiplicity, newton_char_poly, rank_spectrum
 
-from integra.groups import catalog_groups, closure, construct, cyclic
+from integra.groups import catalog_groups, cyclic
 from integra.polys import IntPolynomial
-from integra.spectra import (
-    cayley_adjacency,
-    char_poly,
-    integral_spectrum,
-    is_integral_cayley,
-    report_to_dict,
-    validate_connection_set,
-)
+from integra.spectra import char_poly, is_integral_cayley, validate_connection_set
 from integra.symsets import enumerate_symmetric_sets
 
 
-def _cycle(n):
-    """The n-cycle as Cay(Z_n, {1, n-1})."""
-    return cayley_adjacency(cyclic(n), (1, n - 1))
-
-
-def _k4():
-    return cayley_adjacency(cyclic(4), (1, 2, 3))
-
-
 def test_char_poly_small_graphs():
-    assert char_poly(_cycle(4)).coeffs == (0, 0, -4, 0, 1)
-    assert char_poly(_k4()).coeffs == (-3, -8, -6, 0, 1)
+    # the 4-cycle as Cay(Z_4, {1, 3}) and K_4 as Cay(Z_4, {1, 2, 3})
+    assert char_poly(cyclic(4), (1, 3)).coeffs == (0, 0, -4, 0, 1)
+    assert char_poly(cyclic(4), (1, 2, 3)).coeffs == (-3, -8, -6, 0, 1)
 
 
 def test_eigen_multiplicity():
-    c4 = _cycle(4)
+    c4 = cayley_rows(cyclic(4), (1, 3))
     assert eigen_multiplicity(c4, 0) == 2
     assert eigen_multiplicity(c4, 2) == 1
     assert eigen_multiplicity(c4, 1) == 0
-    assert eigen_multiplicity(_k4(), -1) == 3
+    assert eigen_multiplicity(cayley_rows(cyclic(4), (1, 2, 3)), -1) == 3
 
 
 def test_cycle_six_spectrum():
-    rep = integral_spectrum(_cycle(6))
-    assert rep.integral
+    ok, rep = is_integral_cayley(cyclic(6), (1, 5))
+    assert ok
     assert rep.eigenvalues == ((2, 1), (1, 2), (-1, 2), (-2, 1))
     assert rep.residual == IntPolynomial.one()
 
 
 def test_cycle_five_residual():
-    rep = integral_spectrum(_cycle(5))
-    assert not rep.integral
+    ok, rep = is_integral_cayley(cyclic(5), (1, 4))
+    assert not ok
     assert rep.eigenvalues == ((2, 1),)
     assert rep.residual.coeffs == (1, -2, -1, 2, 1)
 
@@ -70,8 +55,7 @@ def test_validate_connection_set():
 def test_two_routes_agree_on_catalog_cubic_sets():
     for _name, g in catalog_groups():
         for s in enumerate_symmetric_sets(g, 3):
-            adj = cayley_adjacency(g, s)
-            assert integral_spectrum(adj) == rank_spectrum(adj)
+            assert is_integral_cayley(g, s)[1] == rank_spectrum(g, s)
 
 
 def test_disconnected_set_lifts_by_index():
@@ -82,32 +66,15 @@ def test_disconnected_set_lifts_by_index():
     assert rep.index == 3
     assert rep.components == 3
     assert rep.eigenvalues == ((2, 3), (0, 6), (-2, 3))
-    sub_rep = rep.sub
-    assert sub_rep is not None
-    assert sub_rep.eigenvalues == ((2, 1), (0, 2), (-2, 1))
+    assert rep == rank_spectrum(g, (3, 9))
+    # the identity's component is a 4-cycle: eigenvalues 2, 0, 0, -2
+    assert char_poly(g, (3, 9)).coeffs == (0, 0, -4, 0, 1)
 
 
 def test_charpoly_power_rule():
     g = cyclic(12)
     s = (3, 9)
-    cp = char_poly(cayley_adjacency(g, s))
-    sub = closure(g, s)
-    pos = {parent: i for i, parent in enumerate(sub.embed)}
-    s_h = tuple(sorted(pos[x] for x in s))
-    cp_sub = char_poly(cayley_adjacency(sub.group, s_h))
-    assert cp == cp_sub ** 3
-
-
-def test_report_dict_shape():
-    g = construct("dihedral:8")
-    _ok, rep = is_integral_cayley(g, (2, 3, 5))
-    doc = report_to_dict(rep)
-    assert set(doc) == {
-        "n", "degree", "integral", "eigenvalues", "residual",
-        "components", "subgroup_order", "index",
-    }
-    assert doc["integral"] is False
-    assert doc["residual"] == [1, -4, 2, 4, 1]
+    assert newton_char_poly(cayley_rows(g, s)) == char_poly(g, s) ** 3
 
 
 def test_random_regular_graphs_consistency():
@@ -119,10 +86,10 @@ def test_random_regular_graphs_consistency():
         if not sets:
             continue
         s = sets[rng.randrange(len(sets))]
-        adj = cayley_adjacency(g, s)
-        assert integral_spectrum(adj) == rank_spectrum(adj)
-        cp = char_poly(adj)
-        n, k = adj.n, adj.degree
+        _ok, rep = is_integral_cayley(g, s)
+        assert rep == rank_spectrum(g, s)
+        cp = char_poly(g, s) ** rep.index
+        n, k = g.order, len(s)
         assert cp.coeffs[n] == 1
         assert cp.coeffs[n - 1] == 0
         if n >= 2:
