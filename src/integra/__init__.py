@@ -12,7 +12,6 @@ from .classify import (
 from .groups import (
     FiniteGroup,
     GroupProfile,
-    Subgroup,
     catalog_groups,
     closure,
     construct,
@@ -37,7 +36,6 @@ __all__ = [
     "IntPolynomial",
     "MembershipReport",
     "SpectrumReport",
-    "Subgroup",
     "a2_structural",
     "a3_structural",
     "catalog_groups",

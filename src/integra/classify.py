@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 from .groups import (
     FiniteGroup,
+    _spans_named,
     closure,
     element_orders,
     has_subgroup_isomorphic,
@@ -38,7 +39,8 @@ class MembershipReport:
     sets_checked: int
 
 
-def _scan(g: FiniteGroup, k: int, cls: str, mode: str) -> MembershipReport:
+def _scan(g: FiniteGroup, k: int, cls: str) -> MembershipReport:
+    mode = "exact" if cls == "A" else "at_most"
     checked = 0
     # The first failing set is the least member of its orbit, so deciding
     # one set per orbit keeps the witness and the count of a full scan.
@@ -72,7 +74,7 @@ def in_A_k(g: FiniteGroup, k: int) -> MembershipReport:
     order, so a failure report carries the lexicographically first witness."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    return _scan(g, k, "A", "exact")
+    return _scan(g, k, "A")
 
 
 def in_G_k(g: FiniteGroup, k: int) -> MembershipReport:
@@ -80,7 +82,7 @@ def in_G_k(g: FiniteGroup, k: int) -> MembershipReport:
     scan stops at the first witness."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    return _scan(g, k, "G", "at_most")
+    return _scan(g, k, "G")
 
 
 def a2_structural(g: FiniteGroup) -> bool:
@@ -101,11 +103,12 @@ def a3_structural(g: FiniteGroup) -> bool:
     invols = [i for i in range(g.order) if orders[i] == 2]
     for x in invols:
         for y in range(g.order):
-            h = closure(g, (x, y)).group
-            allowed = _A3_TWO_GENERATED.get(h.order)
+            # Each name filed under len(h) has that order: a copy inside h is h.
+            h = closure(g, (x, y))
+            allowed = _A3_TWO_GENERATED.get(len(h))
             if allowed is None:
                 return False
-            if not any(recognize_named(h, nm) for nm in allowed):
+            if not any(_spans_named(g, nm, h) for nm in allowed):
                 return False
     return True
 

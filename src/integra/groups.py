@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
+from itertools import product
 from math import lcm
 from typing import Iterator
 
@@ -60,14 +61,6 @@ class FiniteGroup:
             if nm == name:
                 return idx
         raise ValueError(f"unknown generator {name!r} in {self.label or 'group'}")
-
-
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup's sorted member indices and its induced group."""
-
-    members: tuple[int, ...]
-    group: FiniteGroup
 
 
 @dataclass(frozen=True)
@@ -156,33 +149,6 @@ def dihedral(n: int) -> FiniteGroup:
         return ((r1 + (-r2 if s1 else r2)) % m, s1 ^ s2)
 
     return _build((0, 0), [("a", (1 % m, 0)), ("b", (0, 1))], mul, f"dihedral:{n}")
-
-
-def _gimul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _m2mul_gauss(p, q):
-    (a, b), (c, d) = p
-    (e, f), (g, h) = q
-
-    def add(u, v):
-        return (u[0] + v[0], u[1] + v[1])
-
-    return (
-        (add(_gimul(a, e), _gimul(b, g)), add(_gimul(a, f), _gimul(b, h))),
-        (add(_gimul(c, e), _gimul(d, g)), add(_gimul(c, f), _gimul(d, h))),
-    )
-
-
-def quaternion() -> FiniteGroup:
-    """The quaternion group of order 8, generated by the unit quaternions i and j."""
-    one = (1, 0)
-    zero = (0, 0)
-    ident = ((one, zero), (zero, one))
-    mi = (((0, 1), zero), (zero, (0, -1)))
-    mj = ((zero, one), ((-1, 0), zero))
-    return _build(ident, [("i", mi), ("j", mj)], _m2mul_gauss, "quaternion")
 
 
 def _pmul(p, q):
@@ -368,6 +334,19 @@ def generalized_dicyclic(a_grp: FiniteGroup, y: int | None = None) -> FiniteGrou
     gens.append(("x", (0, 1)))
     lbl = f"dic({a_grp.label}@{y})" if explicit else f"dic({a_grp.label})"
     return _build((a_grp.identity, 0), gens, mul, lbl)
+
+
+def quaternion() -> FiniteGroup:
+    """The quaternion group of order 8, built as Dic(Z4) with its generators a
+    and x renamed i and j."""
+    g = generalized_dicyclic(cyclic(4))
+    rename = str.maketrans("ax", "ij")
+    return replace(
+        g,
+        names=tuple(nm.translate(rename) for nm in g.names),
+        gens=(("i", g.gen("a")), ("j", g.gen("x"))),
+        label="quaternion",
+    )
 
 
 def _parse_perm_gens(n: int, text: str) -> list[tuple[int, ...]]:
@@ -566,33 +545,25 @@ def from_table(doc: dict, label: str = "imported") -> FiniteGroup:
     )
 
 
-def closure(g: FiniteGroup, gens) -> Subgroup:
-    """Smallest subgroup containing gens, numbered breadth-first from the identity."""
-    gl = list(gens)
+def closure(g: FiniteGroup, gens) -> tuple[int, ...]:
+    """The members of the subgroup gens generate, breadth-first over right
+    products from the identity, which comes first."""
+    gl = tuple(gens)
     for x in gl:
         if not 0 <= x < g.order:
             raise ValueError(f"element index {x} out of range")
-    bfs = [g.identity]
+    members = [g.identity]
     seen = {g.identity}
-    i = 0
-    while i < len(bfs):
-        row = g.table[bfs[i]]
+    for a in members:
+        row = g.table[a]
         for x in gl:
             w = row[x]
             if w not in seen:
                 seen.add(w)
-                bfs.append(w)
-        i += 1
-    m = len(bfs)
-    if g.order % m:
+                members.append(w)
+    if g.order % len(members):
         raise AssertionError("closure size does not divide group order")
-    pos = {p: i for i, p in enumerate(bfs)}
-    table = tuple(tuple(pos[g.table[a][b]] for b in bfs) for a in bfs)
-    inv = tuple(pos[g.inv[a]] for a in bfs)
-    names = tuple(g.names[a] for a in bfs)
-    lbl = f"sub({g.label};{','.join(str(x) for x in sorted(set(gl)))})"
-    sub = FiniteGroup(m, 0, table, inv, names, (), lbl)
-    return Subgroup(tuple(sorted(bfs)), sub)
+    return tuple(members)
 
 
 def _forced_map(g: FiniteGroup, gens, images) -> list[int] | None:
@@ -625,11 +596,11 @@ def automorphisms(g: FiniteGroup) -> Iterator[tuple[int, ...]]:
     """
     orders = element_orders(g)
     gens: list[int] = []
-    span = _forced_map(g, gens, gens)
+    span = {g.identity}
     for x in sorted(range(g.order), key=lambda i: (-orders[i], i)):
-        if span[x] < 0:
+        if x not in span:
             gens.append(x)
-            span = _forced_map(g, gens, gens)
+            span = set(closure(g, gens))
     pools = [[y for y in range(g.order) if orders[y] == orders[x]] for x in gens]
 
     def extend(images: list[int], phi: list[int]) -> Iterator[tuple[int, ...]]:
@@ -655,13 +626,14 @@ def is_abelian(g: FiniteGroup) -> bool:
 
 
 def _lower_central_trivial(g: FiniteGroup) -> bool:
+    # [G, cur] lies inside cur, so an equal size means the series has stopped.
     cur = tuple(range(g.order))
     while True:
         comms = {g.commutator(a, h) for a in range(g.order) for h in cur}
-        nxt = closure(g, sorted(comms)).members
+        nxt = closure(g, comms)
         if len(nxt) == 1:
             return True
-        if nxt == cur:
+        if len(nxt) == len(cur):
             return False
         cur = nxt
 
@@ -670,11 +642,11 @@ def profile(g: FiniteGroup) -> GroupProfile:
     orders = element_orders(g)
     multiset = dict(sorted(Counter(orders).items()))
     expo = lcm(*multiset)
-    abelian = is_abelian(g)
     t = g.table
     center = [
         i for i in range(g.order) if all(t[i][j] == t[j][i] for j in range(g.order))
     ]
+    abelian = len(center) == g.order
     invols = [i for i in range(g.order) if orders[i] == 2]
     central = set(center)
     return GroupProfile(
@@ -721,47 +693,33 @@ def _relator_holds(g: FiniteGroup, cand: tuple[int, ...], relator) -> bool:
     return acc == g.identity
 
 
-def _find_presentation_tuple(
-    g: FiniteGroup, target_order: int, gen_orders, relators
-) -> tuple[int, ...] | None:
-    orders = element_orders(g)
-    pools = [[i for i in range(g.order) if orders[i] == d] for d in gen_orders]
-    if any(not p for p in pools):
-        return None
+def _presentation(name: str) -> tuple[int, tuple[int, ...], tuple]:
+    if name not in _PRESENTATIONS:
+        raise ValueError(f"unknown catalog name {name!r}")
+    return _PRESENTATIONS[name]
 
-    def rec(chosen: tuple[int, ...], depth: int):
-        if depth == len(pools):
-            if all(_relator_holds(g, chosen, r) for r in relators):
-                if len(closure(g, chosen).members) == target_order:
-                    return chosen
-            return None
-        for x in pools[depth]:
-            got = rec(chosen + (x,), depth + 1)
-            if got is not None:
-                return got
-        return None
 
-    return rec((), 0)
+def _spans_named(g: FiniteGroup, name: str, pool) -> bool:
+    """Whether some generator tuple drawn from pool satisfies the named group's
+    presentation and generates a subgroup of exactly its order, hence a copy
+    of it. Element orders are computed for the pool only."""
+    order, gen_orders, relators = _presentation(name)
+    orders = {x: g.element_order(x) for x in pool}
+    slots = [[x for x in pool if orders[x] == d] for d in gen_orders]
+    return any(
+        all(_relator_holds(g, cand, r) for r in relators) and len(closure(g, cand)) == order
+        for cand in product(*slots)
+    )
 
 
 def recognize_named(g: FiniteGroup, name: str) -> bool:
     """Decide g isomorphic-to the named group by presentation-satisfaction search."""
-    if name not in _PRESENTATIONS:
-        raise ValueError(f"unknown catalog name {name!r}")
-    order, gen_orders, relators = _PRESENTATIONS[name]
-    if g.order != order:
-        return False
-    return _find_presentation_tuple(g, order, gen_orders, relators) is not None
+    return g.order == _presentation(name)[0] and _spans_named(g, name, range(g.order))
 
 
 def has_subgroup_isomorphic(g: FiniteGroup, name: str) -> bool:
     """Decide whether some generator tuple in g spans a copy of the named group."""
-    if name not in _PRESENTATIONS:
-        raise ValueError(f"unknown catalog name {name!r}")
-    order, gen_orders, relators = _PRESENTATIONS[name]
-    if g.order % order:
-        return False
-    return _find_presentation_tuple(g, order, gen_orders, relators) is not None
+    return g.order % _presentation(name)[0] == 0 and _spans_named(g, name, range(g.order))
 
 
 def parse_word(g: FiniteGroup, word: str) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, closure
 from .polys import IntPolynomial
 
 
@@ -41,21 +41,15 @@ def char_poly(g: FiniteGroup, s) -> IntPolynomial:
     """det(xI - A) for the component of Cay(G,S) that holds the identity.
 
     That component is Cay(<S>, S), vertex x joined to s*x for each s in S;
-    when S generates G it is the whole graph. The vertices are numbered
-    breadth-first from the identity, and the Faddeev-LeVerrier recurrence
-    runs on the neighbour lists. Every division in it is exact over the
-    integers, and each matrix product reduces to row sums over those lists.
+    when S generates G it is the whole graph. The vertices are the members of
+    <S> in closure order, and the Faddeev-LeVerrier recurrence runs on the
+    neighbour lists. Every division in it is exact over the integers, and
+    each matrix product reduces to row sums over those lists.
     """
     sset = validate_connection_set(g, s)
     t = g.table
-    verts = [g.identity]
-    pos = {g.identity: 0}
-    for x in verts:
-        for a in sset:
-            y = t[a][x]
-            if y not in pos:
-                pos[y] = len(verts)
-                verts.append(y)
+    verts = closure(g, sset)
+    pos = {x: i for i, x in enumerate(verts)}
     nbrs = [[pos[t[a][x]] for a in sset] for x in verts]
     n = len(verts)
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

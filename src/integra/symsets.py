@@ -76,6 +76,15 @@ def _lex_exact(g: FiniteGroup, size: int) -> Iterator[tuple[int, ...]]:
         yield from rec([], 0, (), size)
 
 
+def _sizes(g: FiniteGroup, k: int, mode: str) -> Collection[int]:
+    """The set sizes that k and mode select, after checking both."""
+    if k < 1:
+        raise ValueError("set size must be at least 1")
+    if mode not in ("exact", "at_most"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return range(1, min(k, g.order - 1) + 1) if mode == "at_most" else (k,)
+
+
 def enumerate_symmetric_sets(
     g: FiniteGroup, k: int, mode: str = "exact"
 ) -> Iterator[tuple[int, ...]]:
@@ -83,12 +92,7 @@ def enumerate_symmetric_sets(
 
     Sizes ascend in at_most mode and sets are lexicographic within a size.
     """
-    if k < 1:
-        raise ValueError("set size must be at least 1")
-    if mode not in ("exact", "at_most"):
-        raise ValueError(f"unknown mode {mode!r}")
-    sizes = range(1, min(k, g.order - 1) + 1) if mode == "at_most" else (k,)
-    for size in sizes:
+    for size in _sizes(g, k, mode):
         yield from _lex_exact(g, size)
 
 
@@ -129,16 +133,11 @@ def symmetric_sets_by_orbit(
 
 def count_symmetric_sets(g: FiniteGroup, k: int, mode: str = "exact") -> int:
     """Closed-form count: sum over a+2b = size of C(#involutions,a)*C(#pairs,b)."""
-    if k < 1:
-        raise ValueError("set size must be at least 1")
-    if mode not in ("exact", "at_most"):
-        raise ValueError(f"unknown mode {mode!r}")
     part = inverse_partition(g)
     ni = len(part.involutions)
     np_ = len(part.pairs)
-    sizes = range(1, min(k, g.order - 1) + 1) if mode == "at_most" else (k,)
     total = 0
-    for size in sizes:
+    for size in _sizes(g, k, mode):
         for b in range(size // 2 + 1):
             a = size - 2 * b
             total += comb(ni, a) * comb(np_, b)

@@ -240,7 +240,7 @@ def plain_cubic_census(g: FiniteGroup) -> tuple[dict[str, int], list[tuple[int, 
     integral_sets = []
     connected = 0
     for s in enumerate_symmetric_sets(g, 3):
-        if len(closure(g, s).members) == g.order:
+        if len(closure(g, s)) == g.order:
             connected += 1
             if is_integral_cayley(g, s)[0]:
                 integral_sets.append(s)

@@ -72,6 +72,14 @@ def test_quaternion_shape():
     assert g.mul(i, i) == g.mul(j, j)
 
 
+def test_quaternion_is_dicyclic_z4_with_generators_renamed():
+    g = quaternion()
+    assert g.table == construct("dic(cyclic:4)").table
+    assert g.names == ("e", "i", "j", "i^2", "i*j", "j*i", "i^3", "i^2*j")
+    assert g.gens == (("i", 1), ("j", 2))
+    assert g.label == "quaternion"
+
+
 def test_symmetric_and_alternating_orders():
     assert construct("sym:3").order == 6
     assert construct("sym:4").order == 24
@@ -113,7 +121,7 @@ def test_dicyclic_conjugation_inverts_base():
     assert g.order == 2 * base.order
     x = g.gen("x")
     base_gens = [idx for name, idx in g.gens if name != "x"]
-    embedded = closure(g, base_gens).members
+    embedded = closure(g, base_gens)
     assert len(embedded) == base.order
     for a in embedded:
         assert g.mul(g.mul(g.inv[x], a), x) == g.inv[a]
@@ -230,9 +238,27 @@ def test_closure_in_symmetric_group():
     t = next(i for i in range(g.order) if orders[i] == 2)
     c = next(i for i in range(g.order) if orders[i] == 3)
     sub = closure(g, [t, c])
-    assert g.order % len(sub.members) == 0
-    assert len(sub.members) in (6, 12, 24)
-    assert sub.group.identity == 0
+    assert g.order % len(sub) == 0
+    assert len(sub) in (6, 12, 24)
+    assert sub[0] == g.identity
+
+
+def test_closure_contract_on_relabelled_imports():
+    rng = random.Random(11)
+    for spec in ("sym:4", "dic(cyclic:3 x cyclic:6)"):
+        doc, _new = relabelled_document(construct(spec), rng)
+        g = from_table(doc)
+        assert g.identity != 0
+        assert closure(g, ()) == (g.identity,)
+        for _ in range(30):
+            gens = (rng.randrange(g.order), rng.randrange(g.order))
+            sub = closure(g, gens)
+            members = set(sub)
+            assert sub[0] == g.identity
+            assert len(members) == len(sub)
+            assert set(gens) <= members
+            assert all(g.mul(a, b) in members for a in sub for b in sub)
+            assert g.order % len(sub) == 0
 
 
 def test_parse_word_evaluation():

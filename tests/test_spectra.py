@@ -3,9 +3,15 @@
 import random
 
 import pytest
-from oracles import cayley_rows, eigen_multiplicity, newton_char_poly, rank_spectrum
+from oracles import (
+    cayley_rows,
+    eigen_multiplicity,
+    newton_char_poly,
+    rank_spectrum,
+    relabelled_document,
+)
 
-from integra.groups import catalog_groups, cyclic
+from integra.groups import catalog_groups, construct, cyclic, from_table
 from integra.polys import IntPolynomial
 from integra.spectra import char_poly, is_integral_cayley, validate_connection_set
 from integra.symsets import enumerate_symmetric_sets
@@ -94,3 +100,21 @@ def test_random_regular_graphs_consistency():
         assert cp.coeffs[n - 1] == 0
         if n >= 2:
             assert -2 * cp.coeffs[n - 2] == k * n
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "dic(cyclic:3 x cyclic:6)"])
+def test_reports_on_relabelled_imports_match_the_original(spec):
+    g = construct(spec)
+    doc, new = relabelled_document(g, random.Random(g.order))
+    h = from_table(doc)
+    assert h.identity != 0
+    rng = random.Random(5)
+    indices = set()
+    # Dic(Z3 x Z6) has no connected set below valency 6.
+    for k in (2, 3, 4, 6):
+        for s in rng.sample(list(enumerate_symmetric_sets(g, k)), 10):
+            verdict = is_integral_cayley(g, s)
+            assert is_integral_cayley(h, [new[x] for x in s]) == verdict
+            indices.add(verdict[1].index)
+    # connected (index 1) and disconnected sets both occur
+    assert 1 in indices and len(indices) > 1
