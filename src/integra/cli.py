@@ -34,7 +34,7 @@ def _report_to_dict(rep) -> dict:
 
 def _load_document(path: Path) -> FiniteGroup:
     """Parse one ftg-1 file; malformed or too deeply nested JSON is an input error."""
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -76,7 +76,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     g = construct(args.spec)
     text = _canonical(to_document(g)) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return 0

@@ -70,7 +70,6 @@ class GroupProfile:
     exponent: int
     abelian: bool
     nilpotent: bool
-    center_size: int
     involution_count: int
     involutions_central: bool
     in_class_G: bool
@@ -655,7 +654,6 @@ def profile(g: FiniteGroup) -> GroupProfile:
         exponent=expo,
         abelian=abelian,
         nilpotent=True if abelian else _lower_central_trivial(g),
-        center_size=len(center),
         involution_count=len(invols),
         involutions_central=all(i in central for i in invols),
         in_class_G=set(multiset) <= {1, 2, 3, 4, 6},

@@ -79,7 +79,7 @@ def _lex_exact(g: FiniteGroup, size: int) -> Iterator[tuple[int, ...]]:
 def _sizes(g: FiniteGroup, k: int, mode: str) -> Collection[int]:
     """The set sizes that k and mode select, after checking both."""
     if k < 1:
-        raise ValueError("set size must be at least 1")
+        raise ValueError("k must be at least 1")
     if mode not in ("exact", "at_most"):
         raise ValueError(f"unknown mode {mode!r}")
     return range(1, min(k, g.order - 1) + 1) if mode == "at_most" else (k,)

@@ -1,4 +1,8 @@
-"""Claims catalog: the computational facts behind the classification, re-derived with evidence."""
+"""Claims catalog: the computational facts behind the classification, re-derived with evidence.
+
+Each claim is one function declared with ``@_claim(id, description, anchor,
+scale)``; it returns (passed, evidence). Declaration order is id order.
+"""
 
 from __future__ import annotations
 
@@ -51,6 +55,19 @@ class ClaimResult:
     elapsed: float
 
 
+_CLAIMS: dict[str, tuple[Claim, Callable[[], tuple[bool, dict]]]] = {}
+
+
+def _claim(claim_id: str, description: str, anchor: str, scale: str):
+    """Register the decorated function as the body of claim ``claim_id``."""
+
+    def register(fn: Callable[[], tuple[bool, dict]]):
+        _CLAIMS[claim_id] = (Claim(claim_id, description, anchor, scale), fn)
+        return fn
+
+    return register
+
+
 def _words_to_set(g: FiniteGroup, words) -> tuple[int, ...]:
     return tuple(sorted(parse_word(g, w) for w in words))
 
@@ -59,6 +76,12 @@ def _names_of(g: FiniteGroup, s) -> list[str]:
     return [g.names[x] for x in s]
 
 
+@_claim(
+    "C1",
+    "Cay(Z_n, {1, -1}) for n in 3..12 is integral exactly for n in {3, 4, 6}.",
+    "The cycle on n vertices has eigenvalues 2*cos(2*pi*j/n), all integers only for n in {3, 4, 6}.",
+    "fast",
+)
 def _claim_c1() -> tuple[bool, dict]:
     per_order: dict[str, bool] = {}
     integral_orders: list[int] = []
@@ -76,46 +99,55 @@ def _claim_c1() -> tuple[bool, dict]:
     }
 
 
+def _quadratic_factor(g: FiniteGroup, words, divisor_coeffs) -> tuple[bool, dict]:
+    """The set is non-integral and the quadratic divides its characteristic polynomial."""
+    s = _words_to_set(g, words)
+    ok, _rep = is_integral_cayley(g, s)
+    cp = char_poly(g, s)
+    divisor = IntPolynomial.from_coeffs(divisor_coeffs)
+    divides = divisor.divides(cp)
+    return (not ok) and divides, {
+        "set": list(s),
+        "set_names": _names_of(g, s),
+        "integral": ok,
+        "char_poly": list(cp.coeffs),
+        "divisor": list(divisor.coeffs),
+        "divides": divides,
+    }
+
+
+@_claim(
+    "C2",
+    "The valency-3 set {a^2, a^3*b, b} over the order-8 dihedral group is non-integral, x^2+2x-1 divides its characteristic polynomial, and the group is not in A_3.",
+    "That connection set has -1+sqrt(2) and -1-sqrt(2) among its eigenvalues.",
+    "fast",
+)
 def _claim_c2() -> tuple[bool, dict]:
     g = construct("dihedral:8")
-    s = _words_to_set(g, ("a^2", "a^3*b", "b"))
-    ok, _rep = is_integral_cayley(g, s)
-    cp = char_poly(g, s)
-    divisor = IntPolynomial.from_coeffs((-1, 2, 1))
-    divides = divisor.divides(cp)
+    passed, evidence = _quadratic_factor(g, ("a^2", "a^3*b", "b"), (-1, 2, 1))
     member = in_A_k(g, 3)
-    passed = (not ok) and divides and not member.member
-    return passed, {
-        "set": list(s),
-        "set_names": _names_of(g, s),
-        "integral": ok,
-        "char_poly": list(cp.coeffs),
-        "divisor": list(divisor.coeffs),
-        "divides": divides,
-        "a3_member": member.member,
-        "a3_witness": list(member.witness) if member.witness else None,
-        "a3_sets_checked": member.sets_checked,
-    }
+    evidence["a3_member"] = member.member
+    evidence["a3_witness"] = list(member.witness) if member.witness else None
+    evidence["a3_sets_checked"] = member.sets_checked
+    return passed and not member.member, evidence
 
 
+@_claim(
+    "C3",
+    "The valency-3 set {a^3, a^5*b, b} over the order-12 dihedral group is non-integral and x^2+2x-2 divides its characteristic polynomial.",
+    "That connection set has -1+sqrt(3) and -1-sqrt(3) among its eigenvalues.",
+    "fast",
+)
 def _claim_c3() -> tuple[bool, dict]:
-    g = construct("dihedral:12")
-    s = _words_to_set(g, ("a^3", "a^5*b", "b"))
-    ok, _rep = is_integral_cayley(g, s)
-    cp = char_poly(g, s)
-    divisor = IntPolynomial.from_coeffs((-2, 2, 1))
-    divides = divisor.divides(cp)
-    passed = (not ok) and divides
-    return passed, {
-        "set": list(s),
-        "set_names": _names_of(g, s),
-        "integral": ok,
-        "char_poly": list(cp.coeffs),
-        "divisor": list(divisor.coeffs),
-        "divides": divides,
-    }
+    return _quadratic_factor(construct("dihedral:12"), ("a^3", "a^5*b", "b"), (-2, 2, 1))
 
 
+@_claim(
+    "C4",
+    "All 13 symmetric 3-subsets of the alternating group on four letters give integral graphs.",
+    "The alternating group on four letters belongs to A_3.",
+    "fast",
+)
 def _claim_c4() -> tuple[bool, dict]:
     rep = in_A_k(construct("alt:4"), 3)
     non_integral = [list(rep.witness)] if rep.witness else []
@@ -127,6 +159,12 @@ def _claim_c4() -> tuple[bool, dict]:
     }
 
 
+@_claim(
+    "C5",
+    "Among catalog groups with a subgroup isomorphic to S3, only S3 itself is in A_3.",
+    "A group with an S3 subgroup lies in A_3 if and only if it is S3.",
+    "fast",
+)
 def _claim_c5() -> tuple[bool, dict]:
     with_s3: list[str] = []
     verdicts: dict[str, bool] = {}
@@ -147,36 +185,42 @@ def _claim_c5() -> tuple[bool, dict]:
     }
 
 
-def _catalog_agreement(kind: str) -> tuple[bool, dict]:
+def _catalog_agreement(brute, structural) -> tuple[bool, dict]:
+    """Both membership predicates on every catalog group, and whether they agree."""
     rows: dict[str, dict] = {}
     agree = True
     for name, g in catalog_groups():
-        if kind == "a2":
-            brute = in_A_k(g, 2).member
-            structural = a2_structural(g)
-        elif kind == "a3":
-            brute = in_A_k(g, 3).member
-            structural = a3_structural(g)
-        else:
-            brute = in_G_k(g, 3).member
-            structural = g3_structural(g)
-        rows[name] = {"brute": brute, "structural": structural}
-        agree = agree and brute == structural
+        rows[name] = row = {"brute": brute(g), "structural": structural(g)}
+        agree = agree and row["brute"] == row["structural"]
     return agree, {"groups": rows, "agree": agree}
 
 
+@_claim(
+    "C6",
+    "Brute-force A_3 membership equals the structural predicate on all 15 catalog groups.",
+    "A group other than S3 lies in A_3 exactly when every subgroup generated by an involution and one further element is Z2, Z4, Z2xZ2, Z6, Z2xZ4, Z2xZ6, or A4.",
+    "moderate",
+)
 def _claim_c6() -> tuple[bool, dict]:
-    return _catalog_agreement("a3")
+    return _catalog_agreement(lambda g: in_A_k(g, 3).member, a3_structural)
 
 
+@_claim(
+    "C7",
+    "Brute-force G_3 membership equals the structural predicate on all 15 catalog groups.",
+    "The class G_3 consists of the A_3 groups together with the 3-groups of exponent 3.",
+    "moderate",
+)
 def _claim_c7() -> tuple[bool, dict]:
-    return _catalog_agreement("g3")
+    return _catalog_agreement(lambda g: in_G_k(g, 3).member, g3_structural)
 
 
-def _claim_c16() -> tuple[bool, dict]:
-    return _catalog_agreement("a2")
-
-
+@_claim(
+    "C8",
+    "For every nilpotent catalog group, matching one of the four nilpotent shapes coincides with brute-force G_3 membership.",
+    "A nilpotent group lies in G_3 exactly when it matches one of four shapes, and then every involution is central.",
+    "moderate",
+)
 def _claim_c8() -> tuple[bool, dict]:
     rows: dict[str, dict] = {}
     agree = True
@@ -190,6 +234,12 @@ def _claim_c8() -> tuple[bool, dict]:
     return agree, {"nilpotent_groups": rows, "agree": agree}
 
 
+@_claim(
+    "C9",
+    "The order-27 Heisenberg group is in G_3 and its valency-4 set {a, a^2, b, b^2} is non-integral, so it is not in G_4.",
+    "Over an exponent-3 group of order 27 the set {a, a^2, b, b^2} yields a non-integral graph.",
+    "fast",
+)
 def _claim_c9() -> tuple[bool, dict]:
     g = construct("heisenberg:3")
     g3 = in_G_k(g, 3)
@@ -207,6 +257,12 @@ def _claim_c9() -> tuple[bool, dict]:
     }
 
 
+@_claim(
+    "C10",
+    "The order-32 and order-16 marked 2-groups fail G_4: two carry pinned non-integral valency-4 sets and the third has a non-central involution and fails G_3.",
+    "None of the three marked 2-groups of exponent 4 belongs to G_4.",
+    "fast",
+)
 def _claim_c10() -> tuple[bool, dict]:
     h0 = cocycle_product(4, 4, label="H0")
     t0 = _words_to_set(h0, ("b*a^2", "a^2*b^3", "a^3*b^2", "b^2*a"))
@@ -246,13 +302,10 @@ def _claim_c10() -> tuple[bool, dict]:
     }
 
 
-def _claim_c11() -> tuple[bool, dict]:
-    g = construct("alt:4")
-    wanted = ("(2,3,4)", "(2,4,3)", "(1,3)(2,4)", "(1,2)(3,4)")
-    s = tuple(sorted(g.names.index(nm) for nm in wanted))
+def _non_integral(g: FiniteGroup, s: tuple[int, ...]) -> tuple[bool, dict]:
+    """The set is non-integral; the evidence carries its residual factor."""
     ok, rep = is_integral_cayley(g, s)
-    passed = not ok
-    return passed, {
+    return not ok, {
         "set": list(s),
         "set_names": _names_of(g, s),
         "integral": ok,
@@ -260,27 +313,43 @@ def _claim_c11() -> tuple[bool, dict]:
     }
 
 
+@_claim(
+    "C11",
+    "The valency-4 set of two 3-cycles and two double transpositions over the alternating group on four letters is non-integral.",
+    "The alternating group on four letters does not belong to G_4.",
+    "fast",
+)
+def _claim_c11() -> tuple[bool, dict]:
+    g = construct("alt:4")
+    wanted = ("(2,3,4)", "(2,4,3)", "(1,3)(2,4)", "(1,2)(3,4)")
+    return _non_integral(g, tuple(sorted(g.names.index(nm) for nm in wanted)))
+
+
+@_claim(
+    "C12",
+    "An explicit valency-4 set over (Z3:Z4)xZ2 of order 24 is non-integral.",
+    "The group (Z3:Z4)xZ2 does not belong to G_4.",
+    "fast",
+)
 def _claim_c12() -> tuple[bool, dict]:
     base = direct_product(inverting_semidirect(cyclic(3), 4, label="Z3:Z4"), cyclic(2))
     # The product renames the second factor's generator to avoid a clash;
     # rebind it to "u" so the connection-set words can use it.
     gens = (base.gens[0], base.gens[1], ("u", base.gens[2][1]))
     g = replace(base, gens=gens, label="(Z3:Z4)xZ2")
-    s = _words_to_set(g, ("b^-1*u", "u*b", "b*a", "a^-1*b^-1"))
-    ok, rep = is_integral_cayley(g, s)
-    passed = not ok
-    return passed, {
-        "order": g.order,
-        "set": list(s),
-        "set_names": _names_of(g, s),
-        "integral": ok,
-        "residual": list(rep.residual.coeffs),
-    }
+    passed, evidence = _non_integral(g, _words_to_set(g, ("b^-1*u", "u*b", "b*a", "a^-1*b^-1")))
+    return passed, {"order": g.order, **evidence}
 
 
 _C13_WITNESS = (3, 6, 8, 22, 23, 28)
 
 
+@_claim(
+    "C13",
+    "The generalized dicyclic group over Z3xZ6 passes every nonempty symmetric set of size at most 5 and fails a pinned size-6 set.",
+    "The generalized dicyclic group over Z3xZ6 lies in G_5 but not in G_6.",
+    "moderate",
+)
 def _claim_c13() -> tuple[bool, dict]:
     g = construct("dic(cyclic:3 x cyclic:6)")
     g5 = in_G_k(g, 5)
@@ -308,6 +377,12 @@ _C14_SPECS = (
 )
 
 
+@_claim(
+    "C14",
+    "S3, Z2xZ2xZ3, Z2xZ4, Q8, Q8xZ2 and Dic(Z6) are integral on every symmetric connection set of every size.",
+    "Every Cayley graph over these six groups is integral.",
+    "moderate",
+)
 def _claim_c14() -> tuple[bool, dict]:
     rows: dict[str, dict] = {}
     passed = True
@@ -326,6 +401,12 @@ def _claim_c14() -> tuple[bool, dict]:
     return passed, {"groups": rows}
 
 
+@_claim(
+    "C15",
+    "Q8xZ4, A4xZ3 and SL(2,3) are all in G_3 by brute force.",
+    "Products of a G_3 group with a fitting abelian factor, and SL(2,3), stay in G_3.",
+    "fast",
+)
 def _claim_c15() -> tuple[bool, dict]:
     rows: dict[str, dict] = {}
     passed = True
@@ -345,6 +426,22 @@ def _claim_c15() -> tuple[bool, dict]:
     return passed, {"groups": rows}
 
 
+@_claim(
+    "C16",
+    "Brute-force A_2 membership equals the structural predicate on all 15 catalog groups.",
+    "A group lies in A_2 exactly when its element orders lie in {1, 2, 3, 4, 6} and it has no dihedral subgroup of order 8 or 12.",
+    "moderate",
+)
+def _claim_c16() -> tuple[bool, dict]:
+    return _catalog_agreement(lambda g: in_A_k(g, 2).member, a2_structural)
+
+
+@_claim(
+    "C17",
+    "Every connected cubic integral Cayley graph over a catalog group has its group among the fourteen allowed ones.",
+    "A connected cubic Cayley graph is integral only over one of fourteen listed groups.",
+    "moderate",
+)
 def _claim_c17() -> tuple[bool, dict]:
     allowed = [name for name, _g in catalog_groups() if name != "Q8"]
     rows: dict[str, dict] = {}
@@ -372,176 +469,18 @@ def _claim_c17() -> tuple[bool, dict]:
     }
 
 
-_REGISTRY: tuple[tuple[Claim, Callable[[], tuple[bool, dict]]], ...] = (
-    (
-        Claim(
-            "C1",
-            "Cay(Z_n, {1, -1}) for n in 3..12 is integral exactly for n in {3, 4, 6}.",
-            "The cycle on n vertices has eigenvalues 2*cos(2*pi*j/n), all integers only for n in {3, 4, 6}.",
-            "fast",
-        ),
-        _claim_c1,
-    ),
-    (
-        Claim(
-            "C2",
-            "The valency-3 set {a^2, a^3*b, b} over the order-8 dihedral group is non-integral, x^2+2x-1 divides its characteristic polynomial, and the group is not in A_3.",
-            "That connection set has -1+sqrt(2) and -1-sqrt(2) among its eigenvalues.",
-            "fast",
-        ),
-        _claim_c2,
-    ),
-    (
-        Claim(
-            "C3",
-            "The valency-3 set {a^3, a^5*b, b} over the order-12 dihedral group is non-integral and x^2+2x-2 divides its characteristic polynomial.",
-            "That connection set has -1+sqrt(3) and -1-sqrt(3) among its eigenvalues.",
-            "fast",
-        ),
-        _claim_c3,
-    ),
-    (
-        Claim(
-            "C4",
-            "All 13 symmetric 3-subsets of the alternating group on four letters give integral graphs.",
-            "The alternating group on four letters belongs to A_3.",
-            "fast",
-        ),
-        _claim_c4,
-    ),
-    (
-        Claim(
-            "C5",
-            "Among catalog groups with a subgroup isomorphic to S3, only S3 itself is in A_3.",
-            "A group with an S3 subgroup lies in A_3 if and only if it is S3.",
-            "fast",
-        ),
-        _claim_c5,
-    ),
-    (
-        Claim(
-            "C6",
-            "Brute-force A_3 membership equals the structural predicate on all 15 catalog groups.",
-            "A group other than S3 lies in A_3 exactly when every subgroup generated by an involution and one further element is Z2, Z4, Z2xZ2, Z6, Z2xZ4, Z2xZ6, or A4.",
-            "moderate",
-        ),
-        _claim_c6,
-    ),
-    (
-        Claim(
-            "C7",
-            "Brute-force G_3 membership equals the structural predicate on all 15 catalog groups.",
-            "The class G_3 consists of the A_3 groups together with the 3-groups of exponent 3.",
-            "moderate",
-        ),
-        _claim_c7,
-    ),
-    (
-        Claim(
-            "C8",
-            "For every nilpotent catalog group, matching one of the four nilpotent shapes coincides with brute-force G_3 membership.",
-            "A nilpotent group lies in G_3 exactly when it matches one of four shapes, and then every involution is central.",
-            "moderate",
-        ),
-        _claim_c8,
-    ),
-    (
-        Claim(
-            "C9",
-            "The order-27 Heisenberg group is in G_3 and its valency-4 set {a, a^2, b, b^2} is non-integral, so it is not in G_4.",
-            "Over an exponent-3 group of order 27 the set {a, a^2, b, b^2} yields a non-integral graph.",
-            "fast",
-        ),
-        _claim_c9,
-    ),
-    (
-        Claim(
-            "C10",
-            "The order-32 and order-16 marked 2-groups fail G_4: two carry pinned non-integral valency-4 sets and the third has a non-central involution and fails G_3.",
-            "None of the three marked 2-groups of exponent 4 belongs to G_4.",
-            "fast",
-        ),
-        _claim_c10,
-    ),
-    (
-        Claim(
-            "C11",
-            "The valency-4 set of two 3-cycles and two double transpositions over the alternating group on four letters is non-integral.",
-            "The alternating group on four letters does not belong to G_4.",
-            "fast",
-        ),
-        _claim_c11,
-    ),
-    (
-        Claim(
-            "C12",
-            "An explicit valency-4 set over (Z3:Z4)xZ2 of order 24 is non-integral.",
-            "The group (Z3:Z4)xZ2 does not belong to G_4.",
-            "fast",
-        ),
-        _claim_c12,
-    ),
-    (
-        Claim(
-            "C13",
-            "The generalized dicyclic group over Z3xZ6 passes every nonempty symmetric set of size at most 5 and fails a pinned size-6 set.",
-            "The generalized dicyclic group over Z3xZ6 lies in G_5 but not in G_6.",
-            "moderate",
-        ),
-        _claim_c13,
-    ),
-    (
-        Claim(
-            "C14",
-            "S3, Z2xZ2xZ3, Z2xZ4, Q8, Q8xZ2 and Dic(Z6) are integral on every symmetric connection set of every size.",
-            "Every Cayley graph over these six groups is integral.",
-            "moderate",
-        ),
-        _claim_c14,
-    ),
-    (
-        Claim(
-            "C15",
-            "Q8xZ4, A4xZ3 and SL(2,3) are all in G_3 by brute force.",
-            "Products of a G_3 group with a fitting abelian factor, and SL(2,3), stay in G_3.",
-            "fast",
-        ),
-        _claim_c15,
-    ),
-    (
-        Claim(
-            "C16",
-            "Brute-force A_2 membership equals the structural predicate on all 15 catalog groups.",
-            "A group lies in A_2 exactly when its element orders lie in {1, 2, 3, 4, 6} and it has no dihedral subgroup of order 8 or 12.",
-            "moderate",
-        ),
-        _claim_c16,
-    ),
-    (
-        Claim(
-            "C17",
-            "Every connected cubic integral Cayley graph over a catalog group has its group among the fourteen allowed ones.",
-            "A connected cubic Cayley graph is integral only over one of fourteen listed groups.",
-            "moderate",
-        ),
-        _claim_c17,
-    ),
-)
-
-
 def list_claims() -> list[Claim]:
     """Return the full claim registry in id order."""
-    return [claim for claim, _fn in _REGISTRY]
+    return [claim for claim, _fn in _CLAIMS.values()]
 
 
 def run_claim(claim_id: str) -> ClaimResult:
     """Run one claim by id and return its result with evidence."""
-    for claim, fn in _REGISTRY:
-        if claim.id == claim_id:
-            start = time.monotonic()
-            passed, evidence = fn()
-            return ClaimResult(claim_id, passed, evidence, time.monotonic() - start)
-    raise ValueError(f"unknown claim: {claim_id}")
+    if claim_id not in _CLAIMS:
+        raise ValueError(f"unknown claim: {claim_id}")
+    start = time.monotonic()
+    passed, evidence = _CLAIMS[claim_id][1]()
+    return ClaimResult(claim_id, passed, evidence, time.monotonic() - start)
 
 
 @dataclass
@@ -559,13 +498,12 @@ class VerifySummary:
 
 def run_all(claim_filter: str | None = None) -> VerifySummary:
     """Run every claim whose id matches the filter exactly, else by prefix."""
-    ids = [claim.id for claim, _fn in _REGISTRY]
     if claim_filter is None:
-        chosen = ids
-    elif claim_filter in ids:
+        chosen = list(_CLAIMS)
+    elif claim_filter in _CLAIMS:
         chosen = [claim_filter]
     else:
-        chosen = [i for i in ids if i.startswith(claim_filter)]
+        chosen = [i for i in _CLAIMS if i.startswith(claim_filter)]
     results = [run_claim(i) for i in chosen]
     good = sum(1 for r in results if r.passed)
     return VerifySummary(results, good, len(results) - good)

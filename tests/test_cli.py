@@ -1,11 +1,17 @@
 """Command-line interface tests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from integra.cli import main
-from integra.groups import from_table, recognize_named
+from integra.groups import construct, from_table, recognize_named, to_document
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +112,21 @@ def test_classify_from_file(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["group"] == "g.json"
     assert doc["member"] is True
+
+
+def test_non_ascii_names_read_as_utf8_under_c_locale(tmp_path):
+    doc = to_document(construct("cyclic:5"))
+    doc["names"] = ["e", "\u00e9", "\u00e9^2", "\u00e9^3", "\u00e9^4"]
+    path = tmp_path / "z5.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=str(SRC))
+    argv = ["classify", "--file", str(path), "--class", "A", "--k", "2", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "integra.cli", *argv], env=env, capture_output=True
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["witness_words"] == ["\u00e9", "\u00e9^4"]
 
 
 def test_verify_single_claim(capsys):

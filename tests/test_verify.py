@@ -1,10 +1,14 @@
 """Claims catalog tests."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from integra.verify import list_claims, result_to_dict, run_all, run_claim
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_registry_shape():
@@ -16,6 +20,9 @@ def test_registry_shape():
     assert all(c.anchor for c in claims)
     assert all(c.description for c in claims)
     assert all(c.scale in ("fast", "moderate") for c in claims)
+    # The metadata must not drift: tests/data/claims.json pins all of it.
+    pinned = json.loads((ROOT / "tests" / "data" / "claims.json").read_text(encoding="utf-8"))
+    assert [list(dataclasses.astuple(c)) for c in claims] == pinned
 
 
 def test_unknown_claim_rejected():
@@ -68,3 +75,10 @@ def test_result_serialization_is_deterministic():
     assert first == second
     doc = result_to_dict(run_claim("C3"))
     assert set(doc) == {"id", "passed", "evidence"}
+
+
+def test_readme_library_block_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1] == "True"
