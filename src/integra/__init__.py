@@ -11,13 +11,11 @@ from .classify import (
 )
 from .groups import (
     FiniteGroup,
-    GroupProfile,
     catalog_groups,
     closure,
     construct,
     from_table,
     parse_word,
-    profile,
     recognize_named,
     to_document,
 )
@@ -32,7 +30,6 @@ __all__ = [
     "Claim",
     "ClaimResult",
     "FiniteGroup",
-    "GroupProfile",
     "IntPolynomial",
     "MembershipReport",
     "SpectrumReport",
@@ -53,7 +50,6 @@ __all__ = [
     "list_claims",
     "nilpotent_g3_case",
     "parse_word",
-    "profile",
     "recognize_named",
     "run_all",
     "run_claim",

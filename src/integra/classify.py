@@ -3,28 +3,27 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .groups import (
+    NAMED_GROUPS,
     FiniteGroup,
-    _spans_named,
     closure,
     element_orders,
     has_subgroup_isomorphic,
-    profile,
+    is_nilpotent,
+    order_statistics,
     recognize_named,
 )
 from .spectra import is_integral_cayley
 from .symsets import symmetric_sets_by_orbit
 
-# Subgroups generated by an involution and one further element must land in
-# this list (or the whole group must be S3) for membership in A_3.
-_A3_TWO_GENERATED = {
-    2: ("Z2",),
-    4: ("Z4", "Z2xZ2"),
-    6: ("Z6",),
-    8: ("Z2xZ4",),
-    12: ("Z2xZ6", "A4"),
-}
+# Subgroups generated by an involution and one further element must have the
+# element-order statistics of one of these groups (or the whole group must be
+# S3) for membership in A_3.
+_A3_TWO_GENERATED = [
+    NAMED_GROUPS[nm][0] for nm in ("Z2", "Z4", "Z2xZ2", "Z6", "Z2xZ4", "Z2xZ6", "A4")
+]
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ def in_G_k(g: FiniteGroup, k: int) -> MembershipReport:
 def a2_structural(g: FiniteGroup) -> bool:
     """Element orders within {1,2,3,4,6} and no D8 or D12 subgroup."""
     return (
-        profile(g).in_class_G
+        set(element_orders(g)) <= {1, 2, 3, 4, 6}
         and not has_subgroup_isomorphic(g, "D8")
         and not has_subgroup_isomorphic(g, "D12")
     )
@@ -96,34 +95,24 @@ def a3_structural(g: FiniteGroup) -> bool:
     if recognize_named(g, "S3"):
         return True
     orders = element_orders(g)
-    invols = [i for i in range(g.order) if orders[i] == 2]
-    for x in invols:
-        for y in range(g.order):
-            # Each name filed under len(h) has that order: a copy inside h is h.
-            h = closure(g, (x, y))
-            allowed = _A3_TWO_GENERATED.get(len(h))
-            if allowed is None:
-                return False
-            if not any(_spans_named(g, nm, h) for nm in allowed):
-                return False
-    return True
+    return all(
+        order_statistics(g, closure(g, (x, y))) in _A3_TWO_GENERATED
+        for x in range(g.order)
+        if orders[x] == 2
+        for y in range(g.order)
+    )
 
 
 def g3_structural(g: FiniteGroup) -> bool:
     """A nontrivial 3-group of exponent 3, or a group passing the A_3 criterion."""
-    if g.order > 1:
-        prof = profile(g)
-        n = g.order
-        while n % 3 == 0:
-            n //= 3
-        if n == 1 and prof.exponent == 3:
-            return True
-    return a3_structural(g)
+    # By Cauchy's theorem every prime dividing the order is an element order,
+    # so element orders {1, 3} say exactly: a nontrivial 3-group of exponent 3.
+    return set(element_orders(g)) == {1, 3} or a3_structural(g)
 
 
-def _sylow_members(g: FiniteGroup, p: int) -> list[int]:
+def _sylow_members(orders: tuple[int, ...], p: int) -> list[int]:
     out = []
-    for i, d in enumerate(element_orders(g)):
+    for i, d in enumerate(orders):
         while d % p == 0:
             d //= p
         if d == 1:
@@ -139,9 +128,10 @@ def nilpotent_g3_case(g: FiniteGroup) -> str:
     product of a nontrivial elementary abelian 2-group with a nontrivial
     exponent-3 3-group.
     """
-    prof = profile(g)
-    if not prof.nilpotent:
+    if not is_nilpotent(g):
         raise ValueError("group is not nilpotent")
+    orders = element_orders(g)
+    exponent = lcm(*orders)
     n = g.order
     n2, n3 = n, n
     while n2 % 2 == 0:
@@ -150,20 +140,21 @@ def nilpotent_g3_case(g: FiniteGroup) -> str:
         n3 //= 3
     is_2group = n2 == 1 and n > 1
     is_3group = n3 == 1 and n > 1
-    if is_3group and prof.exponent == 3:
+    if is_3group and exponent == 3:
         return "1"
-    if is_2group and prof.exponent == 2:
+    if is_2group and exponent == 2:
         return "2"
-    if is_2group and prof.exponent == 4 and prof.involutions_central:
+    t = g.table
+    if is_2group and exponent == 4 and all(
+        t[i][j] == t[j][i] for i in range(n) if orders[i] == 2 for j in range(n)
+    ):
         return "3"
     # A nilpotent group is the direct product of its Sylow subgroups, so the
     # shape Z2^n x B is equivalent to: only primes 2 and 3, Sylow 2 of
     # exponent 2, Sylow 3 of exponent 3, both nontrivial.
-    p2 = _sylow_members(g, 2)
-    p3 = _sylow_members(g, 3)
+    p2 = _sylow_members(orders, 2)
+    p3 = _sylow_members(orders, 3)
     if len(p2) * len(p3) == n and len(p2) > 1 and len(p3) > 1:
-        orders = element_orders(g)
         if all(orders[i] <= 2 for i in p2) and all(orders[i] in (1, 3) for i in p3):
             return "4"
     return "none"
-

@@ -7,7 +7,6 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import product
-from math import lcm
 from typing import Iterator
 
 ORDER_BOUND = 500
@@ -61,18 +60,6 @@ class FiniteGroup:
             if nm == name:
                 return idx
         raise ValueError(f"unknown generator {name!r} in {self.label or 'group'}")
-
-
-@dataclass(frozen=True)
-class GroupProfile:
-    order: int
-    order_multiset: dict[int, int]
-    exponent: int
-    abelian: bool
-    nilpotent: bool
-    involution_count: int
-    involutions_central: bool
-    in_class_G: bool
 
 
 def _word_name(word: list[str]) -> str:
@@ -624,7 +611,8 @@ def is_abelian(g: FiniteGroup) -> bool:
     return all(t[i][j] == t[j][i] for i in range(g.order) for j in range(i + 1, g.order))
 
 
-def _lower_central_trivial(g: FiniteGroup) -> bool:
+def is_nilpotent(g: FiniteGroup) -> bool:
+    """Whether the lower central series of g reaches the trivial group."""
     # [G, cur] lies inside cur, so an equal size means the series has stopped.
     cur = tuple(range(g.order))
     while True:
@@ -637,87 +625,55 @@ def _lower_central_trivial(g: FiniteGroup) -> bool:
         cur = nxt
 
 
-def profile(g: FiniteGroup) -> GroupProfile:
-    orders = element_orders(g)
-    multiset = dict(sorted(Counter(orders).items()))
-    expo = lcm(*multiset)
-    t = g.table
-    center = [
-        i for i in range(g.order) if all(t[i][j] == t[j][i] for j in range(g.order))
-    ]
-    abelian = len(center) == g.order
-    invols = [i for i in range(g.order) if orders[i] == 2]
-    central = set(center)
-    return GroupProfile(
-        order=g.order,
-        order_multiset=multiset,
-        exponent=expo,
-        abelian=abelian,
-        nilpotent=True if abelian else _lower_central_trivial(g),
-        involution_count=len(invols),
-        involutions_central=all(i in central for i in invols),
-        in_class_G=set(multiset) <= {1, 2, 3, 4, 6},
-    )
+def order_statistics(g: FiniteGroup, members) -> dict[int, int]:
+    """How many of the given elements have each element order, by ascending order."""
+    return dict(sorted(Counter(g.element_order(x) for x in members).items()))
 
 
-_COMM = ((0, -1), (1, -1), (0, 1), (1, 1))
-
-
-def _dihedral_rel():
-    # s r s r = e, i.e. s r s = r^-1, with r in slot 0 and s in slot 1
-    return ((1, 1), (0, 1), (1, 1), (0, 1))
-
-
-_PRESENTATIONS: dict[str, tuple[int, tuple[int, ...], tuple]] = {
-    "Z2": (2, (2,), ()),
-    "Z4": (4, (4,), ()),
-    "Z6": (6, (6,), ()),
-    "Z2xZ2": (4, (2, 2), (_COMM,)),
-    "Z2xZ4": (8, (2, 4), (_COMM,)),
-    "Z2xZ6": (12, (2, 6), (_COMM,)),
-    "S3": (6, (3, 2), (_dihedral_rel(),)),
-    "D8": (8, (4, 2), (_dihedral_rel(),)),
-    "D12": (12, (6, 2), (_dihedral_rel(),)),
-    "Q8": (8, (4, 4), (((1, 2), (0, -2)), ((1, -1), (0, 1), (1, 1), (0, 1)))),
-    "A4": (12, (3, 2), (((0, 1), (1, 1)) * 3,)),
-    "S4": (24, (4, 2), (((0, 1), (1, 1)) * 3,)),
+# Each named group: its element-order statistics and the orders of a
+# generating tuple. Below order 16 the statistics decide a group up to
+# isomorphism (Z4xZ4 and Q8xZ2 are the first pair sharing them), so matching
+# them is recognition.
+NAMED_GROUPS: dict[str, tuple[dict[int, int], tuple[int, ...]]] = {
+    "Z2": ({1: 1, 2: 1}, (2,)),
+    "Z4": ({1: 1, 2: 1, 4: 2}, (4,)),
+    "Z6": ({1: 1, 2: 1, 3: 2, 6: 2}, (6,)),
+    "Z2xZ2": ({1: 1, 2: 3}, (2, 2)),
+    "Z2xZ4": ({1: 1, 2: 3, 4: 4}, (2, 4)),
+    "Z2xZ6": ({1: 1, 2: 3, 3: 2, 6: 6}, (2, 6)),
+    "S3": ({1: 1, 2: 3, 3: 2}, (3, 2)),
+    "D8": ({1: 1, 2: 5, 4: 2}, (4, 2)),
+    "D12": ({1: 1, 2: 7, 3: 2, 6: 2}, (6, 2)),
+    "Q8": ({1: 1, 2: 1, 4: 6}, (4, 4)),
+    "A4": ({1: 1, 2: 3, 3: 8}, (3, 2)),
 }
 
 
-def _relator_holds(g: FiniteGroup, cand: tuple[int, ...], relator) -> bool:
-    acc = g.identity
-    for slot, exp in relator:
-        acc = g.mul(acc, g.power(cand[slot], exp))
-    return acc == g.identity
-
-
-def _presentation(name: str) -> tuple[int, tuple[int, ...], tuple]:
-    if name not in _PRESENTATIONS:
+def _named(name: str) -> tuple[dict[int, int], tuple[int, ...]]:
+    if name not in NAMED_GROUPS:
         raise ValueError(f"unknown catalog name {name!r}")
-    return _PRESENTATIONS[name]
-
-
-def _spans_named(g: FiniteGroup, name: str, pool) -> bool:
-    """Whether some generator tuple drawn from pool satisfies the named group's
-    presentation and generates a subgroup of exactly its order, hence a copy
-    of it. Element orders are computed for the pool only."""
-    order, gen_orders, relators = _presentation(name)
-    orders = {x: g.element_order(x) for x in pool}
-    slots = [[x for x in pool if orders[x] == d] for d in gen_orders]
-    return any(
-        all(_relator_holds(g, cand, r) for r in relators) and len(closure(g, cand)) == order
-        for cand in product(*slots)
-    )
+    return NAMED_GROUPS[name]
 
 
 def recognize_named(g: FiniteGroup, name: str) -> bool:
-    """Decide g isomorphic-to the named group by presentation-satisfaction search."""
-    return g.order == _presentation(name)[0] and _spans_named(g, name, range(g.order))
+    """Decide g isomorphic-to the named group by its element-order statistics."""
+    stats = _named(name)[0]
+    return g.order == sum(stats.values()) and order_statistics(g, range(g.order)) == stats
 
 
 def has_subgroup_isomorphic(g: FiniteGroup, name: str) -> bool:
-    """Decide whether some generator tuple in g spans a copy of the named group."""
-    return g.order % _presentation(name)[0] == 0 and _spans_named(g, name, range(g.order))
+    """Decide whether some tuple of elements of the named group's generator
+    orders spans a subgroup with its element-order statistics."""
+    stats, gen_orders = _named(name)
+    order = sum(stats.values())
+    if g.order % order:
+        return False
+    orders = element_orders(g)
+    slots = [[x for x in range(g.order) if orders[x] == d] for d in gen_orders]
+    return any(
+        len(h) == order and order_statistics(g, h) == stats
+        for h in (closure(g, cand) for cand in product(*slots))
+    )
 
 
 def parse_word(g: FiniteGroup, word: str) -> int:

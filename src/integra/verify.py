@@ -19,6 +19,7 @@ from .classify import (
     nilpotent_g3_case,
 )
 from .groups import (
+    CATALOG,
     FiniteGroup,
     catalog_groups,
     cocycle_product,
@@ -27,8 +28,8 @@ from .groups import (
     direct_product,
     has_subgroup_isomorphic,
     inverting_semidirect,
+    is_nilpotent,
     parse_word,
-    profile,
 )
 from .polys import IntPolynomial
 from .spectra import char_poly, is_integral_cayley
@@ -225,7 +226,7 @@ def _claim_c8() -> tuple[bool, dict]:
     rows: dict[str, dict] = {}
     agree = True
     for name, g in catalog_groups():
-        if not profile(g).nilpotent:
+        if not is_nilpotent(g):
             continue
         case = nilpotent_g3_case(g)
         member = in_G_k(g, 3).member
@@ -443,7 +444,7 @@ def _claim_c16() -> tuple[bool, dict]:
     "moderate",
 )
 def _claim_c17() -> tuple[bool, dict]:
-    allowed = [name for name, _g in catalog_groups() if name != "Q8"]
+    allowed = [name for name, _spec in CATALOG if name != "Q8"]
     rows: dict[str, dict] = {}
     violations: list[dict] = []
     for name, g in catalog_groups():

@@ -2,8 +2,10 @@
 
 tests/data/verify_all.json is the stdout of `integra verify --all --json`.
 tests/data/spectrum_reports.json holds `integra spectrum ... --json` cases:
-each has its argv, exit status and stdout. Regenerate a file only when a
-change to the canonical output is intended.
+each has its argv, exit status and stdout. tests/data/structural.json holds
+`structural_facts(spec)` for each group it lists: the structural predicates,
+the nilpotent G_3 case, and subgroup and whole-group recognition. Regenerate
+a file only when a change to the canonical output is intended.
 """
 
 import json
@@ -11,10 +13,33 @@ from pathlib import Path
 
 import pytest
 
+from integra.classify import a2_structural, a3_structural, g3_structural, nilpotent_g3_case
 from integra.cli import main
+from integra.groups import construct, has_subgroup_isomorphic, recognize_named
 
 DATA = Path(__file__).parent / "data"
 SPECTRUM_CASES = json.loads((DATA / "spectrum_reports.json").read_text())
+STRUCTURAL = json.loads((DATA / "structural.json").read_text())
+
+SUBGROUP_NAMES = ("S3", "D8", "D12")
+RECOGNIZED_NAMES = ("Z2", "Z4", "Z6", "Z2xZ2", "Z2xZ4", "Z2xZ6", "S3", "D8", "D12", "Q8", "A4")
+
+
+def structural_facts(spec: str) -> dict:
+    g = construct(spec)
+    try:
+        case = nilpotent_g3_case(g)
+    except ValueError:
+        case = "not nilpotent"
+    return {
+        "spec": spec,
+        "a2_structural": a2_structural(g),
+        "a3_structural": a3_structural(g),
+        "g3_structural": g3_structural(g),
+        "nilpotent_g3_case": case,
+        "has_subgroup_isomorphic": {nm: has_subgroup_isomorphic(g, nm) for nm in SUBGROUP_NAMES},
+        "recognize_named": {nm: recognize_named(g, nm) for nm in RECOGNIZED_NAMES},
+    }
 
 
 def test_verify_all_matches_golden_bytes(capsys):
@@ -28,3 +53,8 @@ def test_spectrum_report_matches_golden_bytes(capsys, case):
     code = main(case["argv"])
     assert code == case["exit"]
     assert capsys.readouterr().out == case["stdout"]
+
+
+@pytest.mark.parametrize("row", STRUCTURAL, ids=[r["spec"] for r in STRUCTURAL])
+def test_structural_facts_match_golden(row):
+    assert structural_facts(row["spec"]) == row

@@ -2,11 +2,13 @@
 
 import random
 import time
+from itertools import combinations, product
 
 import pytest
 from oracles import relabelled_document
 
 from integra.groups import (
+    NAMED_GROUPS,
     ORDER_BOUND,
     catalog_groups,
     closure,
@@ -18,8 +20,9 @@ from integra.groups import (
     generalized_dicyclic,
     has_subgroup_isomorphic,
     is_abelian,
+    is_nilpotent,
+    order_statistics,
     parse_word,
-    profile,
     quaternion,
     recognize_named,
     to_document,
@@ -280,25 +283,77 @@ def test_parse_word_errors():
         parse_word(g, "a^x")
 
 
+# A group of each named isomorphism type, built from a spec.
+NAMED_SPECS = {
+    "Z2": "cyclic:2",
+    "Z4": "cyclic:4",
+    "Z6": "cyclic:6",
+    "Z2xZ2": "cyclic:2 x cyclic:2",
+    "Z2xZ4": "cyclic:2 x cyclic:4",
+    "Z2xZ6": "cyclic:2 x cyclic:6",
+    "S3": "sym:3",
+    "D8": "dihedral:8",
+    "D12": "dihedral:12",
+    "Q8": "quaternion",
+    "A4": "alt:4",
+}
+
+
+def test_named_rows_are_statistics_of_built_groups():
+    assert set(NAMED_GROUPS) == set(NAMED_SPECS)
+    for name, (stats, gen_orders) in NAMED_GROUPS.items():
+        g = construct(NAMED_SPECS[name])
+        assert order_statistics(g, range(g.order)) == stats, name
+        orders = element_orders(g)
+        slots = [[x for x in range(g.order) if orders[x] == d] for d in gen_orders]
+        assert any(len(closure(g, cand)) == g.order for cand in product(*slots)), name
+
+
+def test_named_orders_are_below_sixteen():
+    assert all(sum(stats.values()) < 16 for stats, _gen_orders in NAMED_GROUPS.values())
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        ("cyclic:8", "cyclic:2 x cyclic:4", "cyclic:2 x cyclic:2 x cyclic:2", "dihedral:8", "quaternion"),
+        ("cyclic:12", "cyclic:2 x cyclic:6", "dihedral:12", "alt:4", "dic(cyclic:6)"),
+    ],
+    ids=["order8", "order12"],
+)
+def test_statistics_tell_all_groups_of_an_order_apart(specs):
+    # The five isomorphism types of order 8, and the five of order 12.
+    groups = [construct(spec) for spec in specs]
+    assert len({g.order for g in groups}) == 1
+    stats = [order_statistics(g, range(g.order)) for g in groups]
+    assert all(a != b for a, b in combinations(stats, 2))
+
+
+def test_statistics_stop_deciding_at_order_sixteen():
+    a = construct("cyclic:4 x cyclic:4")
+    b = construct("quaternion x cyclic:2")
+    assert order_statistics(a, range(16)) == order_statistics(b, range(16))
+    assert is_abelian(a) and not is_abelian(b)
+
+
 def test_recognition_on_canonical_instances():
-    pairs = [
-        ("cyclic:2", "Z2"),
-        ("cyclic:4", "Z4"),
-        ("cyclic:6", "Z6"),
-        ("cyclic:2 x cyclic:2", "Z2xZ2"),
-        ("cyclic:2 x cyclic:4", "Z2xZ4"),
-        ("cyclic:2 x cyclic:6", "Z2xZ6"),
-        ("sym:3", "S3"),
-        ("dihedral:8", "D8"),
-        ("dihedral:12", "D12"),
-        ("quaternion", "Q8"),
-        ("alt:4", "A4"),
-        ("sym:4", "S4"),
-    ]
-    for spec, name in pairs:
+    for name, spec in NAMED_SPECS.items():
         assert recognize_named(construct(spec), name), name
     assert not recognize_named(cyclic(8), "Q8")
     assert not recognize_named(construct("dihedral:8"), "Q8")
+    with pytest.raises(ValueError, match="unknown catalog name"):
+        recognize_named(construct("sym:4"), "S4")
+
+
+def test_recognition_on_relabelled_imports():
+    rng = random.Random(5)
+    for name, spec in NAMED_SPECS.items():
+        g = from_table(relabelled_document(construct(spec), rng)[0])
+        assert [nm for nm in NAMED_GROUPS if recognize_named(g, nm)] == [name]
+    s4 = from_table(relabelled_document(construct("sym:4"), rng)[0])
+    assert has_subgroup_isomorphic(s4, "D8")
+    assert has_subgroup_isomorphic(s4, "S3")
+    assert not has_subgroup_isomorphic(s4, "D12")
 
 
 def test_subgroup_search():
@@ -319,13 +374,18 @@ def test_catalog_contents():
 
 
 def test_profile_facts():
-    p = profile(construct("sym:3"))
-    assert not p.abelian
-    assert not p.nilpotent
-    assert p.in_class_G
-    q = profile(quaternion())
-    assert q.nilpotent
-    assert q.involutions_central
-    assert q.involution_count == 1
-    d = profile(construct("dihedral:8 x cyclic:3"))
-    assert not d.in_class_G
+    s3 = construct("sym:3")
+    assert not is_abelian(s3)
+    assert not is_nilpotent(s3)
+    assert set(element_orders(s3)) <= {1, 2, 3, 4, 6}
+    q = quaternion()
+    assert is_nilpotent(q)
+    invols = [x for x in range(q.order) if q.element_order(x) == 2]
+    assert len(invols) == 1
+    assert all(q.mul(invols[0], y) == q.mul(y, invols[0]) for y in range(q.order))
+    d = construct("dihedral:8 x cyclic:3")
+    assert is_nilpotent(d)
+    assert 12 in order_statistics(d, range(d.order))
+    assert is_nilpotent(construct("heisenberg:3"))
+    assert not is_nilpotent(construct("sym:4"))
+    assert is_nilpotent(cyclic(1))
