@@ -20,7 +20,7 @@ from .groups import (
     to_document,
 )
 from .polys import IntPolynomial
-from .spectra import SpectrumReport, char_poly, is_integral_cayley
+from .spectra import SpectrumReport, char_poly, is_integral, is_integral_cayley
 from .symsets import count_symmetric_sets, enumerate_symmetric_sets, inverse_partition
 from .verify import Claim, ClaimResult, list_claims, run_all, run_claim
 
@@ -46,6 +46,7 @@ __all__ = [
     "in_A_k",
     "in_G_k",
     "inverse_partition",
+    "is_integral",
     "is_integral_cayley",
     "list_claims",
     "nilpotent_g3_case",

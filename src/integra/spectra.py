@@ -37,6 +37,30 @@ def validate_connection_set(g: FiniteGroup, s) -> tuple[int, ...]:
     return out
 
 
+def is_integral(g: FiniteGroup, s) -> bool:
+    """Whether Cay(G,S) has an integral spectrum, by 2k+1 walk steps.
+
+    The adjacency matrix is the regular image of sigma = sum of S in Z[G]
+    (vertex x joined to s*x), and that image is faithful. The matrix is
+    symmetric with every eigenvalue in [-k, k], so its spectrum is integral
+    exactly when prod_{lam=-k..k} (sigma - lam) = 0 in Z[G]. The product is
+    read off by applying each factor in turn to the identity's indicator.
+    """
+    sset = validate_connection_set(g, s)
+    rows = [g.table[a] for a in sset]
+    k = len(sset)
+    v = [0] * g.order
+    v[g.identity] = 1
+    for lam in range(-k, k + 1):
+        w = [-lam * c for c in v]
+        for x, c in enumerate(v):
+            if c:
+                for row in rows:
+                    w[row[x]] += c
+        v = w
+    return not any(v)
+
+
 def char_poly(g: FiniteGroup, s) -> IntPolynomial:
     """det(xI - A) for the component of Cay(G,S) that holds the identity.
 

@@ -22,6 +22,7 @@ from .groups import (
     CATALOG,
     FiniteGroup,
     catalog_groups,
+    closure,
     cocycle_product,
     construct,
     cyclic,
@@ -32,7 +33,7 @@ from .groups import (
     parse_word,
 )
 from .polys import IntPolynomial
-from .spectra import char_poly, is_integral_cayley
+from .spectra import char_poly, is_integral, is_integral_cayley
 from .symsets import count_symmetric_sets, symmetric_sets_by_orbit
 
 
@@ -88,7 +89,7 @@ def _claim_c1() -> tuple[bool, dict]:
     integral_orders: list[int] = []
     for n in range(3, 13):
         g = cyclic(n)
-        ok, _rep = is_integral_cayley(g, (1, n - 1))
+        ok = is_integral(g, (1, n - 1))
         per_order[str(n)] = ok
         if ok:
             integral_orders.append(n)
@@ -103,7 +104,7 @@ def _claim_c1() -> tuple[bool, dict]:
 def _quadratic_factor(g: FiniteGroup, words, divisor_coeffs) -> tuple[bool, dict]:
     """The set is non-integral and the quadratic divides its characteristic polynomial."""
     s = _words_to_set(g, words)
-    ok, _rep = is_integral_cayley(g, s)
+    ok = is_integral(g, s)
     cp = char_poly(g, s)
     divisor = IntPolynomial.from_coeffs(divisor_coeffs)
     divides = divisor.divides(cp)
@@ -453,11 +454,10 @@ def _claim_c17() -> tuple[bool, dict]:
         for s, decides in symmetric_sets_by_orbit(g, 3):
             if not decides:
                 continue
-            ok, rep = is_integral_cayley(g, s)
-            if rep.index != 1:
+            if len(closure(g, s)) != g.order:
                 continue
             connected += len(decides)
-            if ok:
+            if is_integral(g, s):
                 integral += len(decides)
                 if name not in allowed:
                     bad.update(decides)

@@ -224,6 +224,7 @@ def oracle_spectrum(g: FiniteGroup, s) -> dict[int, int]:
     return counts
 
 
+# On is_integral_cayley, so tests/test_orbits.py checks the walk verdict against FL.
 def plain_scan(g: FiniteGroup, k: int, cls: str) -> MembershipReport:
     """A_k ("A") or G_k ("G") membership by deciding every set in enumeration order."""
     checked = 0

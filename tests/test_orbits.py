@@ -5,6 +5,7 @@ import random
 import pytest
 from oracles import plain_cubic_census, plain_scan, relabelled_document
 
+import integra.spectra
 import integra.symsets
 import integra.verify
 from integra.classify import in_A_k, in_G_k
@@ -96,6 +97,20 @@ def test_small_scans_never_compute_automorphisms(monkeypatch):
     for k in (1, 2):
         for rep in (in_A_k(g, k), in_G_k(g, k)):
             assert rep.sets_checked > 0
+
+
+def test_scans_and_c17_never_compute_characteristic_polynomials(monkeypatch):
+    def refuse(_g, _s):
+        raise AssertionError("characteristic polynomial computed for a verdict")
+
+    # is_integral_cayley reads char_poly from the spectra module, so this
+    # refuses it too.
+    monkeypatch.setattr(integra.spectra, "char_poly", refuse)
+    monkeypatch.setattr(integra.verify, "char_poly", refuse)
+    assert not in_A_k(construct("dihedral:8"), 3).member
+    assert in_G_k(construct("quaternion"), 7).member
+    for claim_id in ("C1", "C17"):
+        assert integra.verify.run_claim(claim_id).passed, claim_id
 
 
 def test_pruned_scans_match_plain_scans():

@@ -11,10 +11,10 @@ from oracles import (
     relabelled_document,
 )
 
-from integra.groups import catalog_groups, construct, cyclic, from_table
+from integra.groups import catalog_groups, closure, construct, cyclic, from_table
 from integra.polys import IntPolynomial
-from integra.spectra import char_poly, is_integral_cayley, validate_connection_set
-from integra.symsets import enumerate_symmetric_sets
+from integra.spectra import char_poly, is_integral, is_integral_cayley, validate_connection_set
+from integra.symsets import enumerate_symmetric_sets, inverse_partition
 
 
 def test_char_poly_small_graphs():
@@ -58,10 +58,60 @@ def test_validate_connection_set():
         validate_connection_set(g, (1, 1, 5))
 
 
+@pytest.mark.parametrize(
+    "s, message",
+    [
+        ((1, 1, 5), "connection set has repeated elements"),
+        ((1, 5, 9), "element index 9 out of range"),
+        ((0, 1, 5), "connection set contains the identity"),
+        ((1,), "connection set is not symmetric: missing inverse of 1"),
+    ],
+)
+def test_is_integral_rejects_bad_sets_like_validation(s, message):
+    g = cyclic(6)
+    for check in (validate_connection_set, is_integral):
+        with pytest.raises(ValueError) as err:
+            check(g, s)
+        assert str(err.value) == message
+
+
 def test_two_routes_agree_on_catalog_cubic_sets():
     for _name, g in catalog_groups():
         for s in enumerate_symmetric_sets(g, 3):
-            assert is_integral_cayley(g, s)[1] == rank_spectrum(g, s)
+            rep = is_integral_cayley(g, s)[1]
+            assert rep == rank_spectrum(g, s)
+            assert is_integral(g, s) == rep.integral
+
+
+def _random_symmetric_set(g, size, rng):
+    """A random symmetric identity-free set of the given size, or None."""
+    part = inverse_partition(g)
+    pieces = [(x,) for x in part.involutions] + list(part.pairs)
+    rng.shuffle(pieces)
+    out: list[int] = []
+    for piece in pieces:
+        if len(out) + len(piece) <= size:
+            out.extend(piece)
+    return tuple(sorted(out)) if len(out) == size else None
+
+
+def test_walk_verdict_agrees_on_random_sets_of_every_size():
+    rng = random.Random(2014)
+    specs = ("cyclic:5", "cyclic:12", "dihedral:10", "cyclic:3 x cyclic:3", "sym:4")
+    groups = [g for _name, g in catalog_groups() if g.order <= 12]
+    groups += [construct(spec) for spec in specs]
+    seen = {"integral": 0, "non-integral": 0, "disconnected": 0, "dense": 0}
+    for g in groups:
+        for size in range(1, g.order):
+            s = _random_symmetric_set(g, size, rng)
+            if s is None:
+                continue
+            walk = is_integral(g, s)
+            assert walk == is_integral_cayley(g, s)[0] == rank_spectrum(g, s).integral, s
+            seen["integral" if walk else "non-integral"] += 1
+            seen["disconnected"] += len(closure(g, s)) < g.order
+            seen["dense"] += 2 * size > g.order
+    assert min(seen.values()) > 0, seen
 
 
 def test_disconnected_set_lifts_by_index():
@@ -114,7 +164,19 @@ def test_reports_on_relabelled_imports_match_the_original(spec):
     for k in (2, 3, 4, 6):
         for s in rng.sample(list(enumerate_symmetric_sets(g, k)), 10):
             verdict = is_integral_cayley(g, s)
-            assert is_integral_cayley(h, [new[x] for x in s]) == verdict
+            t = [new[x] for x in s]
+            assert is_integral_cayley(h, t) == verdict
+            assert is_integral(h, t) == rank_spectrum(h, t).integral == verdict[0]
             indices.add(verdict[1].index)
     # connected (index 1) and disconnected sets both occur
     assert 1 in indices and len(indices) > 1
+
+
+def test_order_360_connected_cubic_set_is_not_integral():
+    # Connected and cubic, over a group of order 360, and C17's allowed list
+    # (the paper's theorem) holds no group of that order.
+    g = construct("sym:5 x cyclic:3")
+    s = (3, 7, 56)
+    assert validate_connection_set(g, s) == s
+    assert len(closure(g, s)) == g.order == 360
+    assert is_integral(g, s) is False
