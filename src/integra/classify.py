@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .groups import (
     NAMED_GROUPS,
@@ -118,51 +117,30 @@ def g3_structural(g: FiniteGroup) -> bool:
     return set(element_orders(g)) == {1, 3} or a3_structural(g)
 
 
-def _sylow_members(orders: tuple[int, ...], p: int) -> list[int]:
-    out = []
-    for i, d in enumerate(orders):
-        while d % p == 0:
-            d //= p
-        if d == 1:
-            out.append(i)
-    return out
-
-
 def nilpotent_g3_case(g: FiniteGroup) -> str:
     """Which of the four nilpotent G_3 shapes g matches: "1".."4" or "none".
 
-    Cases are tried in a fixed order: 3-group of exponent 3; elementary
-    abelian 2-group; 2-group of exponent 4 with all involutions central;
-    product of a nontrivial elementary abelian 2-group with a nontrivial
-    exponent-3 3-group.
+    The shapes are: a 3-group of exponent 3; an elementary abelian 2-group; a
+    2-group of exponent 4 with all involutions central; the product of a
+    nontrivial elementary abelian 2-group with a nontrivial exponent-3
+    3-group. By Cauchy's theorem the primes dividing the order are element
+    orders, and a nilpotent group is the direct product of its Sylow
+    subgroups, so the set of element orders is {1,3}, {1,2}, {1,2,4} and
+    {1,2,3,6} respectively.
     """
     if not is_nilpotent(g):
         raise ValueError("group is not nilpotent")
     orders = element_orders(g)
-    exponent = lcm(*orders)
-    n = g.order
-    n2, n3 = n, n
-    while n2 % 2 == 0:
-        n2 //= 2
-    while n3 % 3 == 0:
-        n3 //= 3
-    is_2group = n2 == 1 and n > 1
-    is_3group = n3 == 1 and n > 1
-    if is_3group and exponent == 3:
+    shape = set(orders)
+    if shape == {1, 3}:
         return "1"
-    if is_2group and exponent == 2:
+    if shape == {1, 2}:
         return "2"
-    t = g.table
-    if is_2group and exponent == 4 and all(
+    t, n = g.table, g.order
+    if shape == {1, 2, 4} and all(
         t[i][j] == t[j][i] for i in range(n) if orders[i] == 2 for j in range(n)
     ):
         return "3"
-    # A nilpotent group is the direct product of its Sylow subgroups, so the
-    # shape Z2^n x B is equivalent to: only primes 2 and 3, Sylow 2 of
-    # exponent 2, Sylow 3 of exponent 3, both nontrivial.
-    p2 = _sylow_members(orders, 2)
-    p3 = _sylow_members(orders, 3)
-    if len(p2) * len(p3) == n and len(p2) > 1 and len(p3) > 1:
-        if all(orders[i] <= 2 for i in p2) and all(orders[i] in (1, 3) for i in p3):
-            return "4"
+    if shape == {1, 2, 3, 6}:
+        return "4"
     return "none"

@@ -99,20 +99,15 @@ def _build(identity, gens, mul_fn, label, name_of=None) -> FiniteGroup:
         i += 1
     n = len(elems)
     table = tuple(tuple(index[mul_fn(a, b)] for b in elems) for a in elems)
-    inv = [0] * n
-    for a in range(n):
-        inv[a] = table[a].index(0)
+    inv = tuple(row.index(0) for row in table)
     if name_of is None:
         names = tuple(_word_name(w) for w in words)
     else:
         names = tuple(name_of(v) for v in elems)
-    bound: list[tuple[str, int]] = []
-    seen = set()
+    bound: dict[str, int] = {}
     for nm, gv in gens:
-        if nm not in seen:
-            bound.append((nm, index[gv]))
-            seen.add(nm)
-    return FiniteGroup(n, 0, table, tuple(inv), names, tuple(bound), label)
+        bound.setdefault(nm, index[gv])
+    return FiniteGroup(n, 0, table, inv, names, tuple(bound.items()), label)
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -127,14 +122,7 @@ def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order n (n even): rotation a of order n/2, reflection b."""
     if n < 2 or n % 2:
         raise ValueError("dihedral order must be even and at least 2")
-    m = n // 2
-
-    def mul(u, v):
-        r1, s1 = u
-        r2, s2 = v
-        return ((r1 + (-r2 if s1 else r2)) % m, s1 ^ s2)
-
-    return _build((0, 0), [("a", (1 % m, 0)), ("b", (0, 1))], mul, f"dihedral:{n}")
+    return _inverting_extension(cyclic(n // 2), 2, 0, "b", f"dihedral:{n}")
 
 
 def _pmul(p, q):
@@ -183,15 +171,6 @@ def alternating(n: int) -> FiniteGroup:
     return _build(ident, [("t", t), ("c", c)], _pmul, f"alt:{n}", name_of=_cycle_name)
 
 
-def heisenberg3() -> FiniteGroup:
-    """The nonabelian group of order 27 and exponent 3 (unitriangular 3x3 over F3)."""
-
-    def mul(u, v):
-        return ((u[0] + v[0]) % 3, (u[1] + v[1]) % 3, (u[2] + v[2] + u[0] * v[1]) % 3)
-
-    return _build((0, 0, 0), [("a", (1, 0, 0)), ("b", (0, 1, 0))], mul, "heisenberg:3")
-
-
 def sl23() -> FiniteGroup:
     """SL(2,3): determinant-one 2x2 matrices over F3, order 24."""
 
@@ -209,18 +188,43 @@ def sl23() -> FiniteGroup:
     return _build(ident, [("a", ga), ("b", gb)], mul, "sl:2:3")
 
 
-def cocycle_product(n1: int, n2: int, label: str | None = None) -> FiniteGroup:
-    """Central extension of Z_{n1} x Z_{n2} by Z2 twisted by the cocycle j1*i2.
+def cocycle_product(n1: int, n2: int, p: int = 2, label: str | None = None) -> FiniteGroup:
+    """Central extension of Z_{n1} x Z_{n2} by Z_p twisted by the cocycle j1*i2.
 
     Generators a = (1,0,0) and b = (0,1,0) satisfy [a,b] = (0,0,1), which is
-    central of order 2.
+    central of order p. With n1 = n2 = p = 3 this is the Heisenberg group of
+    order 27 and exponent 3.
     """
 
     def mul(u, v):
-        return ((u[0] + v[0]) % n1, (u[1] + v[1]) % n2, (u[2] + v[2] + u[1] * v[0]) % 2)
+        return ((u[0] + v[0]) % n1, (u[1] + v[1]) % n2, (u[2] + v[2] + u[1] * v[0]) % p)
 
-    lbl = label or f"twist(Z{n1}xZ{n2},Z2)"
+    lbl = label or f"twist(Z{n1}xZ{n2},Z{p})"
     return _build((0, 0, 0), [("a", (1, 0, 0)), ("b", (0, 1, 0))], mul, lbl)
+
+
+def _inverting_extension(base: FiniteGroup, m: int, y: int, gen: str, label: str) -> FiniteGroup:
+    """Abelian A extended by t, named gen, with t^m = y in A and t^-1 a t = a^-1.
+
+    The pair (a, j) stands for a*t^j; pairs multiply as
+    (a1 * theta^j1(a2) * (y if j1 + j2 >= m), (j1 + j2) mod m), theta being
+    inversion. A's generators come first (every non-identity element when A
+    binds none), then t.
+    """
+    ta, ia = base.table, base.inv
+
+    def mul(u, v):
+        a1, j1 = u
+        a2, j2 = v
+        a, j = ta[a1][ia[a2] if j1 % 2 else a2], j1 + j2
+        return (ta[a][y], j - m) if j >= m else (a, j)
+
+    e = base.identity
+    gens = [(nm, (idx, 0)) for nm, idx in base.gens]
+    if not gens:
+        gens = [(base.names[i], (i, 0)) for i in range(base.order) if i != e]
+    gens.append((gen, (e, 1)))
+    return _build((e, 0), gens, mul, label)
 
 
 def inverting_semidirect(a_grp: FiniteGroup, m: int, label: str | None = None) -> FiniteGroup:
@@ -229,19 +233,7 @@ def inverting_semidirect(a_grp: FiniteGroup, m: int, label: str | None = None) -
         raise ValueError("base of the semidirect product must be abelian")
     if m < 2 or m % 2:
         raise ValueError("acting cyclic factor must have even order")
-
-    def mul(u, v):
-        a1, j1 = u
-        a2, j2 = v
-        img = a2 if j1 % 2 == 0 else a_grp.inv[a2]
-        return (a_grp.table[a1][img], (j1 + j2) % m)
-
-    gens = [(nm, (idx, 0)) for nm, idx in a_grp.gens]
-    if not gens:
-        gens = [(a_grp.names[i], (i, 0)) for i in range(1, a_grp.order)]
-    gens.append(("b", (0, 1)))
-    lbl = label or f"{a_grp.label}:Z{m}"
-    return _build((a_grp.identity, 0), gens, mul, lbl)
+    return _inverting_extension(a_grp, m, a_grp.identity, "b", label or f"{a_grp.label}:Z{m}")
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -288,11 +280,7 @@ def generalized_dicyclic(a_grp: FiniteGroup, y: int | None = None) -> FiniteGrou
         raise ValueError("dicyclic base must be abelian")
     if 2 * a_grp.order > ORDER_BOUND:
         raise ValueError(f"group order exceeds {ORDER_BOUND}")
-    invols = [
-        i
-        for i in range(a_grp.order)
-        if i != a_grp.identity and a_grp.table[i][i] == a_grp.identity
-    ]
+    invols = [i for i in range(a_grp.order) if i != a_grp.identity and a_grp.inv[i] == i]
     explicit = y is not None
     if y is None:
         if len(invols) != 1:
@@ -303,23 +291,8 @@ def generalized_dicyclic(a_grp: FiniteGroup, y: int | None = None) -> FiniteGrou
     if y not in invols:
         raise ValueError(f"element {y} of the dicyclic base is not an involution")
 
-    ta, ia = a_grp.table, a_grp.inv
-
-    def mul(u, v):
-        a1, e1 = u
-        a2, e2 = v
-        if e1 == 0:
-            return (ta[a1][a2], e2)
-        if e2 == 0:
-            return (ta[a1][ia[a2]], 1)
-        return (ta[ta[a1][ia[a2]]][y], 0)
-
-    gens = [(nm, (idx, 0)) for nm, idx in a_grp.gens]
-    if not gens:
-        gens = [(a_grp.names[i], (i, 0)) for i in range(1, a_grp.order)]
-    gens.append(("x", (0, 1)))
     lbl = f"dic({a_grp.label}@{y})" if explicit else f"dic({a_grp.label})"
-    return _build((a_grp.identity, 0), gens, mul, lbl)
+    return _inverting_extension(a_grp, 2, y, "x", lbl)
 
 
 def quaternion() -> FiniteGroup:
@@ -398,9 +371,17 @@ def _split_terms(spec: str) -> list[str]:
     return [t.strip() for t in terms]
 
 
+_NUMBERED = {"cyclic": cyclic, "dihedral": dihedral, "sym": symmetric, "alt": alternating}
+_FIXED = {
+    "quaternion": quaternion,
+    "heisenberg:3": lambda: cocycle_product(3, 3, 3, "heisenberg:3"),
+    "sl:2:3": sl23,
+}
+
+
 def _construct_term(term: str) -> FiniteGroup:
-    if term == "quaternion":
-        return quaternion()
+    if term in _FIXED:
+        return _FIXED[term]()
     if term.startswith("dic(") and term.endswith(")"):
         inner = term[4:-1]
         depth = 0
@@ -421,22 +402,9 @@ def _construct_term(term: str) -> FiniteGroup:
     m = re.fullmatch(r"(?:sym|alt|perm):(\d+)(?::.*)?", term, re.S)
     if m and int(m.group(1)) > ORDER_BOUND:
         raise ValueError(f"permutation degree exceeds {ORDER_BOUND}")
-    m = re.fullmatch(r"cyclic:(\d+)", term)
+    m = re.fullmatch(r"(cyclic|dihedral|sym|alt):(\d+)", term)
     if m:
-        return cyclic(int(m.group(1)))
-    m = re.fullmatch(r"dihedral:(\d+)", term)
-    if m:
-        return dihedral(int(m.group(1)))
-    m = re.fullmatch(r"sym:(\d+)", term)
-    if m:
-        return symmetric(int(m.group(1)))
-    m = re.fullmatch(r"alt:(\d+)", term)
-    if m:
-        return alternating(int(m.group(1)))
-    if term == "heisenberg:3":
-        return heisenberg3()
-    if term == "sl:2:3":
-        return sl23()
+        return _NUMBERED[m.group(1)](int(m.group(2)))
     m = re.fullmatch(r"perm:(\d+):(.+)", term)
     if m:
         n = int(m.group(1))

@@ -108,9 +108,9 @@ def is_integral_cayley(g: FiniteGroup, s) -> tuple[bool, SpectrumReport]:
     Cay(G,S) is [G:H] disjoint copies of Cay(H,S) for H the subgroup S
     generates, so the characteristic polynomial is the H-graph's raised to the
     index and multiplicities scale by the index. Every eigenvalue of a
-    k-regular graph lies in [-k, k], so dividing out x - lam for each integer
-    root in that range leaves a residual of degree 0 exactly when the
-    spectrum is integral.
+    k-regular graph lies in [-k, k], so dividing out x - lam while the
+    remainder is zero, for each integer lam in that range, leaves a residual
+    of degree 0 exactly when the spectrum is integral.
     """
     res = char_poly(g, s)
     deg, k = res.degree, len(s)
@@ -118,12 +118,11 @@ def is_integral_cayley(g: FiniteGroup, s) -> tuple[bool, SpectrumReport]:
     mults: dict[int, int] = {}
     for lam in range(k, -k - 1, -1):
         m = 0
-        factor = IntPolynomial.linear_root(lam)
-        while res(lam) == 0:
-            res, rem = res.divmod_by(factor)
-            if not rem.is_zero():
-                raise AssertionError("inexact division by confirmed root")
-            m += 1
+        factor = IntPolynomial((-lam, 1))
+        quot, rem = res.divmod_by(factor)
+        while not rem.coeffs:
+            res, m = quot, m + 1
+            quot, rem = res.divmod_by(factor)
         if m:
             mults[lam] = m * index
     rep = SpectrumReport(

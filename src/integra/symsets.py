@@ -96,12 +96,6 @@ def enumerate_symmetric_sets(
         yield from _lex_exact(g, size)
 
 
-# Orbits are formed only when Aut(G) has at most this many elements. Listing
-# and applying a larger one (GL(4,2) on Z2^4 has 20160) costs more than the
-# verdicts it saves at small valencies, so every set stays its own orbit.
-_AUT_LIMIT = 2048
-
-
 def symmetric_sets_by_orbit(
     g: FiniteGroup, k: int, mode: str = "exact"
 ) -> Iterator[tuple[tuple[int, ...], Collection[tuple[int, ...]]]]:
@@ -110,11 +104,13 @@ def symmetric_sets_by_orbit(
     cyclic or dihedral subgroup, so its verdict is cheap). From size 3 on,
     Aut(G) is computed once; Cay(G,S) and Cay(G,phi(S)) are isomorphic, so the
     least member of an orbit, which the stream meets first, decides the whole
-    orbit and every other member decides nothing.
+    orbit and every other member decides nothing. Finding one automorphism
+    costs about as much as one verdict, so when Aut(G) has more elements than
+    the stream has sets left, every set decides itself.
     """
     autos = None
     ahead: set[tuple[int, ...]] = set()
-    for s in enumerate_symmetric_sets(g, k, mode):
+    for done, s in enumerate(enumerate_symmetric_sets(g, k, mode), 1):
         if len(s) <= 2:
             yield s, (s,)
         elif s in ahead:
@@ -122,8 +118,9 @@ def symmetric_sets_by_orbit(
             yield s, ()
         else:
             if autos is None:
-                autos = list(islice(automorphisms(g), _AUT_LIMIT + 1))
-                if len(autos) > _AUT_LIMIT:
+                left = count_symmetric_sets(g, k, mode) - done
+                autos = list(islice(automorphisms(g), left + 1))
+                if len(autos) > left:
                     autos = [tuple(range(g.order))]
             orbit = {tuple(sorted(phi[x] for x in s)) for phi in autos}
             ahead |= orbit
@@ -138,7 +135,7 @@ def count_symmetric_sets(g: FiniteGroup, k: int, mode: str = "exact") -> int:
     np_ = len(part.pairs)
     total = 0
     for size in _sizes(g, k, mode):
-        for b in range(size // 2 + 1):
+        for b in range(min(size // 2, np_) + 1):
             a = size - 2 * b
             total += comb(ni, a) * comb(np_, b)
     return total

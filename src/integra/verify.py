@@ -106,8 +106,8 @@ def _quadratic_factor(g: FiniteGroup, words, divisor_coeffs) -> tuple[bool, dict
     s = _words_to_set(g, words)
     ok = is_integral(g, s)
     cp = char_poly(g, s)
-    divisor = IntPolynomial.from_coeffs(divisor_coeffs)
-    divides = divisor.divides(cp)
+    divisor = IntPolynomial(divisor_coeffs)
+    divides = not cp.divmod_by(divisor)[1].coeffs
     return (not ok) and divides, {
         "set": list(s),
         "set_names": _names_of(g, s),

@@ -118,8 +118,8 @@ def rank_spectrum(g: FiniteGroup, s) -> SpectrumReport:
             mults[lam] = m
     residual = newton_char_poly(rows)
     for lam, m in mults.items():
-        residual, rem = residual.divmod_by(IntPolynomial.linear_root(lam) ** m)
-        if not rem.is_zero():
+        residual, rem = residual.divmod_by(IntPolynomial((-lam, 1)) ** m)
+        if rem.coeffs:
             raise AssertionError(f"rank multiplicity {m} of {lam} does not divide the char poly")
     components = mults[k]
     return SpectrumReport(

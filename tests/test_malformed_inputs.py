@@ -13,6 +13,7 @@ import time
 
 from integra.cli import main
 from integra.groups import construct, to_document
+from integra.symsets import count_symmetric_sets
 
 SEED = 20261018
 SPECS = (
@@ -176,6 +177,13 @@ def test_valency_beyond_the_group_is_answered_fast(capsys):
         rep = json.loads(capsys.readouterr().out)
         assert rep["sets_checked"] == checked and rep["vacuous"] is (checked == 0)
     assert time.monotonic() - start < 1.0
+
+
+def test_count_beyond_the_group_is_answered_fast():
+    g = construct("cyclic:5")
+    start = time.monotonic()
+    assert count_symmetric_sets(g, 10**9) == 0
+    assert time.monotonic() - start < 0.1
 
 
 def test_empty_index_list_is_the_empty_set(capsys):

@@ -74,12 +74,13 @@ def test_least_orbit_members_decide_their_orbits():
         else:
             assert set(decides) == (orbit if s == min(orbit) else set()), s
     # 511 sets in 65 orbits; the 12 sets of size at most 2 (5 orbits) each decide themselves.
-    assert len(stream) == 511 and len(orbits) == 65
+    # The 192 automorphisms are fewer than the 499 larger sets, so orbits are formed.
+    assert len(stream) == 511 and len(orbits) == 65 and len(autos) == 192
     assert sum(1 for _s, d in stream if d) == 65 - 5 + 12
 
 
 def test_large_automorphism_groups_leave_sets_unmerged():
-    # Aut(Z2^4) = GL(4,2) has 20160 elements, too many to list for a scan.
+    # Aut(Z2^4) = GL(4,2) has 20160 elements, more than the scan's 455 sets.
     g = construct("cyclic:2 x cyclic:2 x cyclic:2 x cyclic:2")
     assert all(list(d) == [s] for s, d in symmetric_sets_by_orbit(g, 3))
     assert in_A_k(g, 3) == plain_scan(g, 3, "A")
@@ -140,5 +141,10 @@ def test_c17_violations_cover_whole_orbits(monkeypatch, spec):
     evidence = integra.verify.run_claim("C17").evidence
     row, integral_sets = plain_cubic_census(g)
     assert integral_sets
+    # Only D12 has fewer automorphisms than cubic sets (12 against 49), so only
+    # its sets form orbits; S3 (6 against 4) and Z2^3 (168 against 35) keep
+    # every set apart.
+    merged = any(len(d) > 1 for _s, d in symmetric_sets_by_orbit(g, 3))
+    assert merged == (spec == "dihedral:12")
     assert evidence["groups"] == {"Q8": row}
     assert evidence["violations"] == [{"group": "Q8", "set": list(s)} for s in integral_sets]

@@ -35,7 +35,7 @@ def test_cycle_six_spectrum():
     ok, rep = is_integral_cayley(cyclic(6), (1, 5))
     assert ok
     assert rep.eigenvalues == ((2, 1), (1, 2), (-1, 2), (-2, 1))
-    assert rep.residual == IntPolynomial.one()
+    assert rep.residual == IntPolynomial((1,))
 
 
 def test_cycle_five_residual():
