@@ -9,7 +9,7 @@ from .groups import (
     FiniteGroup,
     closure,
     element_orders,
-    has_subgroup_isomorphic,
+    involution_products,
     is_nilpotent,
     order_statistics,
     recognize_named,
@@ -21,7 +21,7 @@ from .symsets import symmetric_sets_by_orbit
 # element-order statistics of one of these groups (or the whole group must be
 # S3) for membership in A_3.
 _A3_TWO_GENERATED = [
-    NAMED_GROUPS[nm][0] for nm in ("Z2", "Z4", "Z2xZ2", "Z6", "Z2xZ4", "Z2xZ6", "A4")
+    NAMED_GROUPS[nm] for nm in ("Z2", "Z4", "Z2xZ2", "Z6", "Z2xZ4", "Z2xZ6", "A4")
 ]
 
 
@@ -80,12 +80,9 @@ def in_G_k(g: FiniteGroup, k: int) -> MembershipReport:
 
 
 def a2_structural(g: FiniteGroup) -> bool:
-    """Element orders within {1,2,3,4,6} and no D8 or D12 subgroup."""
-    return (
-        set(element_orders(g)) <= {1, 2, 3, 4, 6}
-        and not has_subgroup_isomorphic(g, "D8")
-        and not has_subgroup_isomorphic(g, "D12")
-    )
+    """Element orders within {1,2,3,4,6} and no D8 or D12 subgroup, that is, no
+    two involutions whose product has order 4 or 6."""
+    return set(element_orders(g)) <= {1, 2, 3, 4, 6} and not {4, 6} & involution_products(g)
 
 
 def a3_structural(g: FiniteGroup) -> bool:

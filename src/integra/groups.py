@@ -6,7 +6,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import product
 from typing import Iterator
 
 ORDER_BOUND = 500
@@ -486,9 +485,6 @@ def from_table(doc: dict, label: str = "imported") -> FiniteGroup:
                 if rij[k] != ri[rj[k]]:
                     raise ValueError("not associative")
     inv = tuple(rows[i].index(ident) for i in range(n))
-    for i in range(n):
-        if rows[inv[i]][i] != ident:
-            raise ValueError("inverses inconsistent")
     names = doc.get("names")
     if names is None:
         names = ["e" if i == ident else f"g{i}" for i in range(n)]
@@ -598,50 +594,43 @@ def order_statistics(g: FiniteGroup, members) -> dict[int, int]:
     return dict(sorted(Counter(g.element_order(x) for x in members).items()))
 
 
-# Each named group: its element-order statistics and the orders of a
-# generating tuple. Below order 16 the statistics decide a group up to
-# isomorphism (Z4xZ4 and Q8xZ2 are the first pair sharing them), so matching
-# them is recognition.
-NAMED_GROUPS: dict[str, tuple[dict[int, int], tuple[int, ...]]] = {
-    "Z2": ({1: 1, 2: 1}, (2,)),
-    "Z4": ({1: 1, 2: 1, 4: 2}, (4,)),
-    "Z6": ({1: 1, 2: 1, 3: 2, 6: 2}, (6,)),
-    "Z2xZ2": ({1: 1, 2: 3}, (2, 2)),
-    "Z2xZ4": ({1: 1, 2: 3, 4: 4}, (2, 4)),
-    "Z2xZ6": ({1: 1, 2: 3, 3: 2, 6: 6}, (2, 6)),
-    "S3": ({1: 1, 2: 3, 3: 2}, (3, 2)),
-    "D8": ({1: 1, 2: 5, 4: 2}, (4, 2)),
-    "D12": ({1: 1, 2: 7, 3: 2, 6: 2}, (6, 2)),
-    "Q8": ({1: 1, 2: 1, 4: 6}, (4, 4)),
-    "A4": ({1: 1, 2: 3, 3: 8}, (3, 2)),
+def involution_products(g: FiniteGroup) -> set[int]:
+    """The element orders of x*y over distinct involutions x, y.
+
+    Two involutions whose product has order r generate the dihedral group of
+    order 2r, and every dihedral group is generated so, so r = 3, 4 and 6 say
+    that g has a subgroup S3, D8 and D12.
+    """
+    orders = element_orders(g)
+    invols = [x for x in range(g.order) if orders[x] == 2]
+    t = g.table
+    return {orders[t[x][y]] for x in invols for y in invols if x != y}
+
+
+# Each named group's element-order statistics. Below order 16 they decide a
+# group up to isomorphism (Z4xZ4 and Q8xZ2 are the first pair sharing them),
+# so matching them is recognition.
+NAMED_GROUPS: dict[str, dict[int, int]] = {
+    "Z2": {1: 1, 2: 1},
+    "Z4": {1: 1, 2: 1, 4: 2},
+    "Z6": {1: 1, 2: 1, 3: 2, 6: 2},
+    "Z2xZ2": {1: 1, 2: 3},
+    "Z2xZ4": {1: 1, 2: 3, 4: 4},
+    "Z2xZ6": {1: 1, 2: 3, 3: 2, 6: 6},
+    "S3": {1: 1, 2: 3, 3: 2},
+    "D8": {1: 1, 2: 5, 4: 2},
+    "D12": {1: 1, 2: 7, 3: 2, 6: 2},
+    "Q8": {1: 1, 2: 1, 4: 6},
+    "A4": {1: 1, 2: 3, 3: 8},
 }
-
-
-def _named(name: str) -> tuple[dict[int, int], tuple[int, ...]]:
-    if name not in NAMED_GROUPS:
-        raise ValueError(f"unknown catalog name {name!r}")
-    return NAMED_GROUPS[name]
 
 
 def recognize_named(g: FiniteGroup, name: str) -> bool:
     """Decide g isomorphic-to the named group by its element-order statistics."""
-    stats = _named(name)[0]
+    if name not in NAMED_GROUPS:
+        raise ValueError(f"unknown catalog name {name!r}")
+    stats = NAMED_GROUPS[name]
     return g.order == sum(stats.values()) and order_statistics(g, range(g.order)) == stats
-
-
-def has_subgroup_isomorphic(g: FiniteGroup, name: str) -> bool:
-    """Decide whether some tuple of elements of the named group's generator
-    orders spans a subgroup with its element-order statistics."""
-    stats, gen_orders = _named(name)
-    order = sum(stats.values())
-    if g.order % order:
-        return False
-    orders = element_orders(g)
-    slots = [[x for x in range(g.order) if orders[x] == d] for d in gen_orders]
-    return any(
-        len(h) == order and order_statistics(g, h) == stats
-        for h in (closure(g, cand) for cand in product(*slots))
-    )
 
 
 def parse_word(g: FiniteGroup, word: str) -> int:

@@ -51,6 +51,13 @@ class IntPolynomial:
                 base = base * base
         return result
 
+    def __call__(self, x: int) -> int:
+        """The value at x, by Horner's rule."""
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
     def divmod_by(self, divisor: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
         """Quotient and remainder; the divisor must be monic, which keeps both integral."""
         if not divisor.coeffs or divisor.coeffs[-1] != 1:

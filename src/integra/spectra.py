@@ -108,9 +108,10 @@ def is_integral_cayley(g: FiniteGroup, s) -> tuple[bool, SpectrumReport]:
     Cay(G,S) is [G:H] disjoint copies of Cay(H,S) for H the subgroup S
     generates, so the characteristic polynomial is the H-graph's raised to the
     index and multiplicities scale by the index. Every eigenvalue of a
-    k-regular graph lies in [-k, k], so dividing out x - lam while the
-    remainder is zero, for each integer lam in that range, leaves a residual
-    of degree 0 exactly when the spectrum is integral.
+    k-regular graph lies in [-k, k], so dividing out x - lam while lam is a
+    root, for each integer lam in that range, leaves a residual of degree 0
+    exactly when the spectrum is integral. The value at lam, by Horner's rule,
+    is the remainder of that division, so only roots are divided out.
     """
     res = char_poly(g, s)
     deg, k = res.degree, len(s)
@@ -118,11 +119,8 @@ def is_integral_cayley(g: FiniteGroup, s) -> tuple[bool, SpectrumReport]:
     mults: dict[int, int] = {}
     for lam in range(k, -k - 1, -1):
         m = 0
-        factor = IntPolynomial((-lam, 1))
-        quot, rem = res.divmod_by(factor)
-        while not rem.coeffs:
-            res, m = quot, m + 1
-            quot, rem = res.divmod_by(factor)
+        while res(lam) == 0:
+            res, m = res.divmod_by(IntPolynomial((-lam, 1)))[0], m + 1
         if m:
             mults[lam] = m * index
     rep = SpectrumReport(

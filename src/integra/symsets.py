@@ -35,45 +35,33 @@ def inverse_partition(g: FiniteGroup) -> InversePartition:
 def _lex_exact(g: FiniteGroup, size: int) -> Iterator[tuple[int, ...]]:
     """All symmetric size-k sets in lexicographic order of their sorted members.
 
-    The DFS extends the sorted member tuple one position at a time; picking the
-    low half of an inverse pair forces its partner into a pending list that
-    must be emitted at its sorted position, so output order is truly
-    lexicographic and the stream can be short-circuited at the first failure
-    of any downstream predicate.
+    A symmetric set is a union of atoms: involutions (x,) and inverse pairs
+    (lo, hi). Atoms are taken in order of their least member. Two sets first
+    differ at the least member of an atom one of them holds, so choosing atoms
+    in that order yields the sets lexicographically, and the stream can stop
+    at the first failure of any downstream predicate. From atom t on, room[t]
+    members remain, odd[t] of them involutions; a size is reachable exactly
+    when it is at most room[t] and is even or odd[t] > 0, so a branch ends as
+    soon as it cannot be completed.
     """
-    n = g.order
-    ident = g.identity
-    inv = g.inv
+    part = inverse_partition(g)
+    atoms = sorted([(x,) for x in part.involutions] + list(part.pairs))
+    room, odd = [0] * (len(atoms) + 1), [0] * (len(atoms) + 1)
+    for t in range(len(atoms) - 1, -1, -1):
+        room[t] = room[t + 1] + len(atoms[t])
+        odd[t] = odd[t + 1] + (len(atoms[t]) == 1)
 
-    def rec(acc: list[int], start: int, pending: tuple[int, ...], need: int):
-        if need + len(pending) > n - start:  # too few indices left to fill
-            return
-        if need == 0 and not pending:
-            yield tuple(acc)
-            return
-        bound = pending[0] if pending else n - 1
-        for t in range(start, bound + 1):
-            if t == ident:
-                continue
-            if pending and t == bound:
-                acc.append(t)
-                yield from rec(acc, t + 1, pending[1:], need)
-                acc.pop()
-                continue
-            p = inv[t]
-            if p == t:
-                if need >= 1:
-                    acc.append(t)
-                    yield from rec(acc, t + 1, pending, need - 1)
-                    acc.pop()
-            elif p > t and need >= 2:
-                new_pending = tuple(sorted(pending + (p,)))
-                acc.append(t)
-                yield from rec(acc, t + 1, new_pending, need - 2)
-                acc.pop()
+    def rec(chosen: tuple[int, ...], start: int, need: int):
+        for t in range(start, len(atoms)):
+            if need > room[t] or (need % 2 and not odd[t]):
+                return
+            atom = atoms[t]
+            if len(atom) == need:
+                yield tuple(sorted(chosen + atom))
+            elif len(atom) < need:
+                yield from rec(chosen + atom, t + 1, need - len(atom))
 
-    if size >= 1:
-        yield from rec([], 0, (), size)
+    yield from rec((), 0, size)
 
 
 def _sizes(g: FiniteGroup, k: int, mode: str) -> Collection[int]:

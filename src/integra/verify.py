@@ -27,8 +27,8 @@ from .groups import (
     construct,
     cyclic,
     direct_product,
-    has_subgroup_isomorphic,
     inverting_semidirect,
+    involution_products,
     is_nilpotent,
     parse_word,
 )
@@ -172,7 +172,7 @@ def _claim_c5() -> tuple[bool, dict]:
     verdicts: dict[str, bool] = {}
     members: list[str] = []
     for name, g in catalog_groups():
-        if not has_subgroup_isomorphic(g, "S3"):
+        if 3 not in involution_products(g):
             continue
         with_s3.append(name)
         rep = in_A_k(g, 3)

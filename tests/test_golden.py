@@ -23,8 +23,8 @@ from integra.groups import (
     cocycle_product,
     construct,
     cyclic,
-    has_subgroup_isomorphic,
     inverting_semidirect,
+    involution_products,
     recognize_named,
 )
 
@@ -53,7 +53,9 @@ LIBRARY_BUILT = {
     "inverting_semidirect(cyclic(3), 4)": lambda: inverting_semidirect(cyclic(3), 4),
 }
 
-SUBGROUP_NAMES = ("S3", "D8", "D12")
+# S3, D8 and D12 are the dihedral groups spanned by two involutions whose
+# product has order 3, 4 and 6.
+SUBGROUP_PRODUCT_ORDERS = {"S3": 3, "D8": 4, "D12": 6}
 RECOGNIZED_NAMES = ("Z2", "Z4", "Z6", "Z2xZ2", "Z2xZ4", "Z2xZ6", "S3", "D8", "D12", "Q8", "A4")
 
 
@@ -63,13 +65,14 @@ def structural_facts(spec: str) -> dict:
         case = nilpotent_g3_case(g)
     except ValueError:
         case = "not nilpotent"
+    products = involution_products(g)
     return {
         "spec": spec,
         "a2_structural": a2_structural(g),
         "a3_structural": a3_structural(g),
         "g3_structural": g3_structural(g),
         "nilpotent_g3_case": case,
-        "has_subgroup_isomorphic": {nm: has_subgroup_isomorphic(g, nm) for nm in SUBGROUP_NAMES},
+        "has_subgroup_isomorphic": {nm: r in products for nm, r in SUBGROUP_PRODUCT_ORDERS.items()},
         "recognize_named": {nm: recognize_named(g, nm) for nm in RECOGNIZED_NAMES},
     }
 

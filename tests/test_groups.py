@@ -2,7 +2,7 @@
 
 import random
 import time
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 from oracles import relabelled_document
@@ -18,7 +18,7 @@ from integra.groups import (
     element_orders,
     from_table,
     generalized_dicyclic,
-    has_subgroup_isomorphic,
+    involution_products,
     is_abelian,
     is_nilpotent,
     order_statistics,
@@ -301,16 +301,13 @@ NAMED_SPECS = {
 
 def test_named_rows_are_statistics_of_built_groups():
     assert set(NAMED_GROUPS) == set(NAMED_SPECS)
-    for name, (stats, gen_orders) in NAMED_GROUPS.items():
+    for name, stats in NAMED_GROUPS.items():
         g = construct(NAMED_SPECS[name])
         assert order_statistics(g, range(g.order)) == stats, name
-        orders = element_orders(g)
-        slots = [[x for x in range(g.order) if orders[x] == d] for d in gen_orders]
-        assert any(len(closure(g, cand)) == g.order for cand in product(*slots)), name
 
 
 def test_named_orders_are_below_sixteen():
-    assert all(sum(stats.values()) < 16 for stats, _gen_orders in NAMED_GROUPS.values())
+    assert all(sum(stats.values()) < 16 for stats in NAMED_GROUPS.values())
 
 
 @pytest.mark.parametrize(
@@ -351,15 +348,30 @@ def test_recognition_on_relabelled_imports():
         g = from_table(relabelled_document(construct(spec), rng)[0])
         assert [nm for nm in NAMED_GROUPS if recognize_named(g, nm)] == [name]
     s4 = from_table(relabelled_document(construct("sym:4"), rng)[0])
-    assert has_subgroup_isomorphic(s4, "D8")
-    assert has_subgroup_isomorphic(s4, "S3")
-    assert not has_subgroup_isomorphic(s4, "D12")
+    # S3, D8 and no D12: involution products of order 3 and 4, none of order 6
+    assert involution_products(s4) == {2, 3, 4}
 
 
 def test_subgroup_search():
-    assert has_subgroup_isomorphic(construct("sym:4"), "D8")
-    assert has_subgroup_isomorphic(construct("dihedral:12"), "S3")
-    assert not has_subgroup_isomorphic(construct("alt:4"), "Z4")
+    assert 4 in involution_products(construct("sym:4"))
+    assert 3 in involution_products(construct("dihedral:12"))
+
+
+@pytest.mark.parametrize(
+    "spec", ["sym:4", "dihedral:12", "dihedral:8 x cyclic:3", "alt:4 x cyclic:2"]
+)
+def test_two_involutions_span_a_dihedral_group(spec):
+    g = construct(spec)
+    orders = element_orders(g)
+    invols = [x for x in range(g.order) if orders[x] == 2]
+    spans = set()
+    for x, y in combinations(invols, 2):
+        r = orders[g.mul(x, y)]
+        members = closure(g, (x, y))
+        dihedral_stats = order_statistics(dihedral(2 * r), range(2 * r))
+        assert order_statistics(g, members) == dihedral_stats, (spec, x, y)
+        spans.add(r)
+    assert involution_products(g) == spans
 
 
 def test_catalog_contents():

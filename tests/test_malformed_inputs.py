@@ -8,13 +8,18 @@ not element indices, valid valencies or claim ids.
 
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from integra.cli import main
 from integra.groups import construct, to_document
 from integra.symsets import count_symmetric_sets
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 SEED = 20261018
 SPECS = (
     "cyclic:12",
@@ -177,6 +182,23 @@ def test_valency_beyond_the_group_is_answered_fast(capsys):
         rep = json.loads(capsys.readouterr().out)
         assert rep["sets_checked"] == checked and rep["vacuous"] is (checked == 0)
     assert time.monotonic() - start < 1.0
+
+
+def test_odd_valency_without_involutions_is_answered_fast():
+    # An odd cyclic group has no involution, so no symmetric set has odd size.
+    # A subprocess with a timeout turns a search of every dead branch into a
+    # failure instead of a hang.
+    for spec, k in (("cyclic:61", 29), ("cyclic:499", 249)):
+        argv = ["classify", "--spec", spec, "--class", "A", "--k", str(k), "--json"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "integra.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rep = json.loads(proc.stdout)
+        assert rep["vacuous"] is True and rep["sets_checked"] == 0
 
 
 def test_count_beyond_the_group_is_answered_fast():

@@ -61,3 +61,12 @@ def test_divmod_requires_monic():
 def test_str_format():
     p = IntPolynomial((-1, 2, 1))
     assert str(p) == "x^2 + 2*x - 1"
+
+
+def test_value_is_the_remainder_of_dividing_by_a_linear_factor():
+    p = IntPolynomial((6, -5, -2, 1))  # (x - 1)(x + 2)(x - 3)
+    for lam in range(-4, 5):
+        _q, r = p.divmod_by(IntPolynomial((-lam, 1)))
+        assert p(lam) == (r.coeffs[0] if r.coeffs else 0), lam
+    assert [lam for lam in range(-4, 5) if p(lam) == 0] == [-2, 1, 3]
+    assert IntPolynomial(())(7) == 0

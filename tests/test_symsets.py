@@ -28,10 +28,13 @@ def test_inverse_partition_quaternion():
 
 
 def test_enumeration_matches_brute_force():
-    for spec in ("cyclic:6", "quaternion", "cyclic:4", "cyclic:5", "dihedral:8"):
+    # cyclic:9 has no involution, so no set of odd size; cyclic:10 has one.
+    specs = ("cyclic:6", "quaternion", "cyclic:4", "cyclic:5", "dihedral:8", "cyclic:9", "cyclic:10")
+    for spec in specs:
         g = construct(spec)
         for k in range(1, g.order):
             got = list(enumerate_symmetric_sets(g, k))
+            assert got == sorted(got), (spec, k)
             assert len(got) == len(set(got))
             assert set(got) == _brute_sets(g, k), (spec, k)
 
