@@ -37,6 +37,16 @@ def validate_connection_set(g: FiniteGroup, s) -> tuple[int, ...]:
     return out
 
 
+def _sigma_step(rows, v: list[int], lam: int = 0) -> list[int]:
+    """(sigma - lam) * v in Z[G], where rows are the table rows of the members of S."""
+    w = [-lam * c for c in v]
+    for x, c in enumerate(v):
+        if c:
+            for row in rows:
+                w[row[x]] += c
+    return w
+
+
 def is_integral(g: FiniteGroup, s) -> bool:
     """Whether Cay(G,S) has an integral spectrum, by 2k+1 walk steps.
 
@@ -52,13 +62,47 @@ def is_integral(g: FiniteGroup, s) -> bool:
     v = [0] * g.order
     v[g.identity] = 1
     for lam in range(-k, k + 1):
-        w = [-lam * c for c in v]
-        for x, c in enumerate(v):
-            if c:
-                for row in rows:
-                    w[row[x]] += c
-        v = w
+        v = _sigma_step(rows, v, lam)
     return not any(v)
+
+
+def _walk_multiplicities(g: FiniteGroup, sset: tuple[int, ...]) -> dict[int, int]:
+    """Multiplicity of each eigenvalue of an integral Cay(G,S), from closed walks.
+
+    tr(A^j) = n * w_j with w_j = (sigma^j)[e], the closed walks of length j at
+    any vertex. With every eigenvalue in [-k, k], the multiplicities solve
+    sum_lam m_lam * lam^j = n * w_j for j = 0..2k, a Vandermonde system whose
+    solution is read through the Lagrange basis: with P_lam the product of
+    (x - mu) over mu != lam, m_lam = n * sum_j [x^j]P_lam * w_j / P_lam(lam).
+
+    k steps suffice: S = S^-1 gives sigma^b[x^-1] = sigma^b[x], so
+    w_(a+b) = sum_x sigma^a[x] * sigma^b[x], and w_2a, w_2a+1 are the inner
+    products of sigma^a * e with itself and with sigma^(a+1) * e.
+    """
+    rows = [g.table[a] for a in sset]
+    k = len(sset)
+    v = [0] * g.order
+    v[g.identity] = 1
+    walks = []
+    for _ in range(k):
+        w = _sigma_step(rows, v)
+        walks += [sum(c * c for c in v), sum(c * d for c, d in zip(v, w))]
+        v = w
+    walks.append(sum(c * c for c in v))
+    lams = range(k, -k - 1, -1)
+    full = IntPolynomial((1,))
+    for mu in lams:
+        full = full * IntPolynomial((-mu, 1))
+    mults: dict[int, int] = {}
+    for lam in lams:
+        basis = full.divmod_by(IntPolynomial((-lam, 1)))[0]
+        total = g.order * sum(c * walk for c, walk in zip(basis.coeffs, walks))
+        m, rem = divmod(total, basis(lam))
+        if rem or m < 0:
+            raise AssertionError(f"closed walks give no multiplicity for eigenvalue {lam}")
+        if m:
+            mults[lam] = m
+    return mults
 
 
 def char_poly(g: FiniteGroup, s) -> IntPolynomial:
@@ -105,32 +149,48 @@ def char_poly(g: FiniteGroup, s) -> IntPolynomial:
 def is_integral_cayley(g: FiniteGroup, s) -> tuple[bool, SpectrumReport]:
     """Verdict and spectrum report for Cay(G,S).
 
-    Cay(G,S) is [G:H] disjoint copies of Cay(H,S) for H the subgroup S
-    generates, so the characteristic polynomial is the H-graph's raised to the
-    index and multiplicities scale by the index. Every eigenvalue of a
-    k-regular graph lies in [-k, k], so dividing out x - lam while lam is a
-    root, for each integer lam in that range, leaves a residual of degree 0
-    exactly when the spectrum is integral. The value at lam, by Horner's rule,
-    is the remainder of that division, so only roots are divided out.
+    The verdict comes from is_integral, and the report takes one of two routes.
+
+    Integral: the multiplicities come from the counts of closed walks of
+    length 0..2k (_walk_multiplicities), in k steps of sigma on Z[G]. Those
+    walks run over the whole graph, so the multiplicities already count every
+    component, and the residual is 1. The subgroup H that S generates, and
+    so the index, comes from closure. No characteristic polynomial is formed.
+
+    Otherwise: Cay(G,S) is [G:H] disjoint copies of Cay(H,S), so the
+    characteristic polynomial (char_poly, on H) is raised to the index and
+    multiplicities scale by the index. Every eigenvalue of a k-regular graph
+    lies in [-k, k]; x - lam is divided out while lam is a root, for each
+    integer lam in that range, and what is left is the residual. The value at
+    lam, by Horner's rule, is the remainder of that division, so only roots
+    are divided out.
     """
-    res = char_poly(g, s)
-    deg, k = res.degree, len(s)
-    index = g.order // deg
-    mults: dict[int, int] = {}
-    for lam in range(k, -k - 1, -1):
-        m = 0
-        while res(lam) == 0:
-            res, m = res.divmod_by(IntPolynomial((-lam, 1)))[0], m + 1
-        if m:
-            mults[lam] = m * index
+    sset = validate_connection_set(g, s)
+    k = len(sset)
+    ok = is_integral(g, sset)
+    if ok:
+        index = g.order // len(closure(g, sset))
+        mults = _walk_multiplicities(g, sset)
+        residual = IntPolynomial((1,))
+    else:
+        res = char_poly(g, sset)
+        index = g.order // res.degree
+        mults = {}
+        for lam in range(k, -k - 1, -1):
+            m = 0
+            while res(lam) == 0:
+                res, m = res.divmod_by(IntPolynomial((-lam, 1)))[0], m + 1
+            if m:
+                mults[lam] = m * index
+        residual = res**index
     rep = SpectrumReport(
         n=g.order,
         degree=k,
-        integral=res.degree == 0,
+        integral=ok,
         eigenvalues=tuple(sorted(mults.items(), reverse=True)),
-        residual=res**index,
+        residual=residual,
         components=mults.get(k, 0),
-        subgroup_order=deg,
+        subgroup_order=g.order // index,
         index=index,
     )
-    return rep.integral, rep
+    return ok, rep

@@ -7,13 +7,22 @@ from oracles import (
     cayley_rows,
     eigen_multiplicity,
     newton_char_poly,
+    oracle_spectrum,
     rank_spectrum,
     relabelled_document,
 )
 
+import integra.spectra
+from integra.cli import main
 from integra.groups import catalog_groups, closure, construct, cyclic, from_table
 from integra.polys import IntPolynomial
-from integra.spectra import char_poly, is_integral, is_integral_cayley, validate_connection_set
+from integra.spectra import (
+    _walk_multiplicities,
+    char_poly,
+    is_integral,
+    is_integral_cayley,
+    validate_connection_set,
+)
 from integra.symsets import enumerate_symmetric_sets, inverse_partition
 
 
@@ -180,3 +189,66 @@ def test_order_360_connected_cubic_set_is_not_integral():
     assert validate_connection_set(g, s) == s
     assert len(closure(g, s)) == g.order == 360
     assert is_integral(g, s) is False
+
+
+# Every Cayley graph over these groups is integral (Ahmady-Bell-Mohar).
+ALL_INTEGRAL_SPECS = (
+    "cyclic:2 x cyclic:2 x cyclic:6",
+    "quaternion x cyclic:2 x cyclic:2",
+    "cyclic:6 x cyclic:6",
+    "cyclic:3 x cyclic:3 x cyclic:6",
+)
+
+
+def test_walk_report_matches_rank_and_newton_oracles():
+    rng = random.Random(432)
+    seen = {"connected": 0, "disconnected": 0}
+    for spec in ALL_INTEGRAL_SPECS:
+        g = construct(spec)
+        for k in range(9):
+            s = None
+            while s is None:
+                s = _random_symmetric_set(g, k, rng)
+            ok, rep = is_integral_cayley(g, s)
+            assert ok, (spec, s)
+            assert rep == rank_spectrum(g, s), (spec, s)
+            deflated = IntPolynomial((1,))
+            for lam, m in rep.eigenvalues:
+                deflated = deflated * IntPolynomial((-lam, 1)) ** m
+            assert newton_char_poly(cayley_rows(g, s)) == deflated, (spec, s)
+            seen["connected" if rep.index == 1 else "disconnected"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_walk_multiplicities_refuse_a_non_integral_spectrum():
+    # The 5-cycle's eigenvalues 2cos(2*pi*j/5) are not all integers, so the
+    # walk counts have no solution in multiplicities of -2..2.
+    with pytest.raises(AssertionError, match="closed walks give no multiplicity"):
+        _walk_multiplicities(cyclic(5), (1, 4))
+
+
+def test_only_non_integral_reports_compute_characteristic_polynomials(monkeypatch, capsys):
+    class Refused(Exception):
+        pass
+
+    def refuse(_g, _s):
+        raise Refused
+
+    monkeypatch.setattr(integra.spectra, "char_poly", refuse)
+    assert main(["spectrum", "--spec", "quaternion x cyclic:2", "--set-indices", "1,2,12", "--json"]) == 0
+    assert '"integral": true' in capsys.readouterr().out
+    with pytest.raises(Refused):
+        main(["spectrum", "--spec", "dihedral:8", "--set-words", "a^2,a^3*b,b", "--json"])
+
+
+def test_order_432_valency_9_report_matches_character_sums():
+    # The Faddeev-LeVerrier report took over a minute on this set.
+    g = construct("cyclic:6 x cyclic:6 x cyclic:6 x cyclic:2")
+    s = (1, 2, 10, 12, 60, 72, 84, 360, 420)
+    ok, rep = is_integral_cayley(g, s)
+    assert ok and rep.index == 1 and rep.residual == IntPolynomial((1,))
+    assert dict(rep.eigenvalues) == oracle_spectrum(g, s)
+    n, k = g.order, len(s)
+    assert sum(m for _lam, m in rep.eigenvalues) == n
+    assert sum(m * lam for lam, m in rep.eigenvalues) == 0
+    assert sum(m * lam * lam for lam, m in rep.eigenvalues) == n * k
