@@ -154,8 +154,9 @@ def is_integral_cayley(g: FiniteGroup, s) -> tuple[bool, SpectrumReport]:
     Integral: the multiplicities come from the counts of closed walks of
     length 0..2k (_walk_multiplicities), in k steps of sigma on Z[G]. Those
     walks run over the whole graph, so the multiplicities already count every
-    component, and the residual is 1. The subgroup H that S generates, and
-    so the index, comes from closure. No characteristic polynomial is formed.
+    component, and the residual is 1. The multiplicity of k is the number of
+    components, which is the index [G:H] of the subgroup H that S generates.
+    No characteristic polynomial is formed.
 
     Otherwise: Cay(G,S) is [G:H] disjoint copies of Cay(H,S), so the
     characteristic polynomial (char_poly, on H) is raised to the index and
@@ -169,8 +170,8 @@ def is_integral_cayley(g: FiniteGroup, s) -> tuple[bool, SpectrumReport]:
     k = len(sset)
     ok = is_integral(g, sset)
     if ok:
-        index = g.order // len(closure(g, sset))
         mults = _walk_multiplicities(g, sset)
+        index = mults[k]
         residual = IntPolynomial((1,))
     else:
         res = char_poly(g, sset)

@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     cayley_rows,
     eigen_multiplicity,
+    fl_integral,
     newton_char_poly,
     oracle_spectrum,
     rank_spectrum,
@@ -89,7 +90,7 @@ def test_two_routes_agree_on_catalog_cubic_sets():
         for s in enumerate_symmetric_sets(g, 3):
             rep = is_integral_cayley(g, s)[1]
             assert rep == rank_spectrum(g, s)
-            assert is_integral(g, s) == rep.integral
+            assert is_integral(g, s) == fl_integral(g, s) == rep.integral
 
 
 def _random_symmetric_set(g, size, rng):
