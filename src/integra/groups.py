@@ -476,14 +476,30 @@ def from_table(doc: dict, label: str = "imported") -> FiniteGroup:
             rows[j][ident] != j for j in range(n)
         ):
             raise ValueError("no identity")
-    for i in range(n):
-        ri = rows[i]
-        for j in range(n):
-            rij = rows[ri[j]]
-            rj = rows[j]
-            for k in range(n):
-                if rij[k] != ri[rj[k]]:
-                    raise ValueError("not associative")
+    # Light's test. The s with (x*s)*y == x*(s*y) for all x, y are closed
+    # under products, so it is enough to check s over a generating set, kept
+    # greedily: s is checked only if right products of the identity by the
+    # generators so far do not reach it. Each kept generator at least doubles
+    # the subgroup reached, so at most log2(n) + 1 are checked: O(n^2 log n).
+    members = [ident]
+    seen = [False] * n
+    seen[ident] = True
+    gens = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        rs = rows[s]
+        for rx in rows:
+            if rows[rx[s]] != tuple(map(rx.__getitem__, rs)):
+                raise ValueError("not associative")
+        gens.append(s)
+        for a in members:
+            ra = rows[a]
+            for t in gens:
+                w = ra[t]
+                if not seen[w]:
+                    seen[w] = True
+                    members.append(w)
     inv = tuple(rows[i].index(ident) for i in range(n))
     names = doc.get("names")
     if names is None:

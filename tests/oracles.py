@@ -8,8 +8,8 @@ polynomial from the traces of the powers of A by Newton's identities. A
 verdict from the Faddeev-LeVerrier characteristic polynomial, with no walk in
 Z[G]. A floating-point character-sum oracle for abelian groups. A plain
 membership scan that decides every connection set, with no automorphism
-orbits. And a random relabelling of a group table, as an imported document
-would carry it.
+orbits. An associativity check of a table over every triple. And a random
+relabelling of a group table, as an imported document would carry it.
 """
 
 from __future__ import annotations
@@ -260,6 +260,21 @@ def plain_cubic_census(g: FiniteGroup) -> tuple[dict[str, int], list[tuple[int, 
                 integral_sets.append(s)
     row = {"connected_cubic": connected, "integral": len(integral_sets)}
     return row, integral_sets
+
+
+def is_associative(rows) -> bool:
+    """Whether (i*j)*k == i*(j*k) for every triple of indices: the O(n^3)
+    route that from_table's Light's test is checked against."""
+    n = len(rows)
+    for i in range(n):
+        ri = rows[i]
+        for j in range(n):
+            rij = rows[ri[j]]
+            rj = rows[j]
+            for k in range(n):
+                if rij[k] != ri[rj[k]]:
+                    return False
+    return True
 
 
 def relabelled_document(g: FiniteGroup, rng) -> tuple[dict, list[int]]:

@@ -5,7 +5,7 @@ import time
 from itertools import combinations
 
 import pytest
-from oracles import relabelled_document
+from oracles import is_associative, relabelled_document
 
 from integra.groups import (
     NAMED_GROUPS,
@@ -233,6 +233,89 @@ def test_from_table_rejects_switched_subsquare():
     assert table[ident] == full and [row[ident] for row in table] == full
     with pytest.raises(ValueError, match="not associative"):
         from_table(doc)
+
+
+def _switch_subsquare(g, doc, new, rng):
+    """Switch the 2x2 subsquare of doc's table on rows x, x*t and columns v,
+    t*v (t an involution, x and v neither e nor t), as in the test above,
+    unless an earlier switch has already broken it."""
+    t = rng.choice([i for i in range(g.order) if g.element_order(i) == 2])
+    x, v = (rng.choice([i for i in range(g.order) if i not in (g.identity, t)]) for _ in range(2))
+    rows = (new[x], new[g.mul(x, t)])
+    cols = (new[v], new[g.mul(t, v)])
+    table = doc["table"]
+    (a, b), (c, d) = ([table[r][col] for col in cols] for r in rows)
+    if (a, b) == (d, c):
+        for r in rows:
+            for col in cols:
+                table[r][col] = b if table[r][col] == a else a
+
+
+def _import_agrees_with_oracle(doc):
+    """from_table accepts doc exactly when every triple associates; returns
+    the oracle's verdict."""
+    if is_associative(doc["table"]):
+        from_table(doc)
+        return True
+    with pytest.raises(ValueError, match="^not associative$"):
+        from_table(doc)
+    return False
+
+
+@pytest.mark.parametrize("spec", [
+    "quaternion x cyclic:2",
+    "dihedral:24",
+    "alt:4 x cyclic:2",
+    "cyclic:8 x cyclic:4",
+    "sym:4 x cyclic:3",
+    "sym:4 x cyclic:4",
+])
+def test_from_table_associativity_matches_triple_check(spec):
+    g = construct(spec)
+    rng = random.Random(f"light {spec}")
+    doc, _new = relabelled_document(g, rng)
+    assert _import_agrees_with_oracle(doc)
+    for switches in (1, 1, 2, 2):
+        doc, new = relabelled_document(g, rng)
+        for _ in range(switches):
+            _switch_subsquare(g, doc, new, rng)
+        associative = _import_agrees_with_oracle(doc)
+        # A second switch may undo the first.
+        assert switches == 2 or not associative
+
+
+_LOOP5 = (
+    (0, 1, 2, 3, 4),
+    (1, 0, 3, 4, 2),
+    (2, 3, 4, 0, 1),
+    (3, 4, 1, 2, 0),
+    (4, 2, 0, 1, 3),
+)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:2", "cyclic:3", "sym:3"])
+def test_from_table_rejects_loop_times_group(spec):
+    # The order-5 loop L times a group G, with (a, b) at index a*|G| + b: G's
+    # elements lie in the nucleus, so the first generators Light's test keeps
+    # pass before the loop's first element fails.
+    g = construct(spec)
+    m = g.order
+    n = 5 * m
+    table = [[_LOOP5[i // m][j // m] * m + g.table[i % m][j % m] for j in range(n)]
+             for i in range(n)]
+    doc = {"format": "ftg-1", "order": n, "identity": g.identity, "table": table}
+    assert not _import_agrees_with_oracle(doc)
+
+
+@pytest.mark.parametrize("spec", ["sym:5 x cyclic:4", "cyclic:500"])
+def test_from_table_checks_associativity_quickly(spec):
+    # Light's test checks O(log n) generators, O(n^2) work each, where the
+    # triple loop makes over 10^8 steps on these tables.
+    doc, _new = relabelled_document(construct(spec), random.Random(480))
+    start = time.monotonic()
+    g = from_table(doc)
+    assert time.monotonic() - start < 2.0
+    assert g.order == doc["order"]
 
 
 def test_closure_in_symmetric_group():
