@@ -6,6 +6,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import reduce
+from operator import itemgetter
 from typing import Iterator
 
 ORDER_BOUND = 500
@@ -488,9 +489,11 @@ def from_table(doc: dict, label: str = "imported") -> FiniteGroup:
     for s in range(n):
         if seen[s]:
             continue
-        rs = rows[s]
+        # x_times_sy(rows[x]) is the row y -> x*(s*y); s is not the identity,
+        # so n >= 2 and the getter returns a tuple, not a single entry.
+        x_times_sy = itemgetter(*rows[s])
         for rx in rows:
-            if rows[rx[s]] != tuple(map(rx.__getitem__, rs)):
+            if rows[rx[s]] != x_times_sy(rx):
                 raise ValueError("not associative")
         gens.append(s)
         for a in members:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 from .groups import FiniteGroup, closure
 from .polys import IntPolynomial
@@ -47,6 +48,19 @@ def _sigma_step(rows, v: list[int], lam: int = 0) -> list[int]:
     return w
 
 
+def _walk(g: FiniteGroup, sset: tuple[int, ...]) -> tuple[list[int], bool]:
+    """v[e] before each factor of prod_{lam=-k..k} (sigma - lam) * e, and whether it is 0."""
+    rows = [g.table[a] for a in sset]
+    k = len(sset)
+    v = [0] * g.order
+    v[g.identity] = 1
+    at_e = []
+    for lam in range(-k, k + 1):
+        at_e.append(v[g.identity])
+        v = _sigma_step(rows, v, lam)
+    return at_e, not any(v)
+
+
 def is_integral(g: FiniteGroup, s) -> bool:
     """Whether Cay(G,S) has an integral spectrum, by 2k+1 walk steps.
 
@@ -54,55 +68,39 @@ def is_integral(g: FiniteGroup, s) -> bool:
     (vertex x joined to s*x), and that image is faithful. The matrix is
     symmetric with every eigenvalue in [-k, k], so its spectrum is integral
     exactly when prod_{lam=-k..k} (sigma - lam) = 0 in Z[G]. The product is
-    read off by applying each factor in turn to the identity's indicator.
+    read off by applying each factor in turn to the identity's indicator;
+    is_integral_cayley reads an integral report off the same walk.
     """
-    sset = validate_connection_set(g, s)
-    rows = [g.table[a] for a in sset]
-    k = len(sset)
-    v = [0] * g.order
-    v[g.identity] = 1
-    for lam in range(-k, k + 1):
-        v = _sigma_step(rows, v, lam)
-    return not any(v)
+    return _walk(g, validate_connection_set(g, s))[1]
 
 
-def _walk_multiplicities(g: FiniteGroup, sset: tuple[int, ...]) -> dict[int, int]:
-    """Multiplicity of each eigenvalue of an integral Cay(G,S), from closed walks.
+def _multiplicities(n: int, at_e: list[int]) -> dict[int, int]:
+    """Multiplicity of each eigenvalue of an integral Cay(G,S), from its walk.
 
-    tr(A^j) = n * w_j with w_j = (sigma^j)[e], the closed walks of length j at
-    any vertex. With every eigenvalue in [-k, k], the multiplicities solve
-    sum_lam m_lam * lam^j = n * w_j for j = 0..2k, a Vandermonde system whose
-    solution is read through the Lagrange basis: with P_lam the product of
-    (x - mu) over mu != lam, m_lam = n * sum_j [x^j]P_lam * w_j / P_lam(lam).
-
-    k steps suffice: S = S^-1 gives sigma^b[x^-1] = sigma^b[x], so
-    w_(a+b) = sum_x sigma^a[x] * sigma^b[x], and w_2a, w_2a+1 are the inner
-    products of sigma^a * e with itself and with sigma^(a+1) * e.
+    With lam_j = j - k and p_a the product of (x - lam_i) over i < a, the walk
+    passes v_a = p_a(sigma) * e, and n * v_a[e] = tr p_a(A) = sum_j m_j *
+    p_a(lam_j) (Babai 1979). p_a(lam_j) is j!/(j-a)! for j >= a and 0 below,
+    so the system is triangular: u_a = n * v_a[e] / a! = sum_j C(j, a) * m_j.
+    As polynomials U(x) = M(1 + x), so M(y) = U(y - 1), a Taylor shift by -1
+    in O(k^2) additions. Given the m_j above it, m_a is an integer exactly
+    when u_a is, so the divisions run from a = 2k down.
     """
-    rows = [g.table[a] for a in sset]
-    k = len(sset)
-    v = [0] * g.order
-    v[g.identity] = 1
-    walks = []
-    for _ in range(k):
-        w = _sigma_step(rows, v)
-        walks += [sum(c * c for c in v), sum(c * d for c, d in zip(v, w))]
-        v = w
-    walks.append(sum(c * c for c in v))
-    lams = range(k, -k - 1, -1)
-    full = IntPolynomial((1,))
-    for mu in lams:
-        full = full * IntPolynomial((-mu, 1))
-    mults: dict[int, int] = {}
-    for lam in lams:
-        basis = full.divmod_by(IntPolynomial((-lam, 1)))[0]
-        total = g.order * sum(c * walk for c, walk in zip(basis.coeffs, walks))
-        m, rem = divmod(total, basis(lam))
-        if rem or m < 0:
-            raise AssertionError(f"closed walks give no multiplicity for eigenvalue {lam}")
-        if m:
-            mults[lam] = m
-    return mults
+    top = len(at_e) - 1
+    k = top // 2
+    u = [0] * len(at_e)
+    fact = factorial(top)
+    for a in range(top, -1, -1):
+        u[a], rem = divmod(n * at_e[a], fact)
+        fact //= a or 1
+        if rem:
+            raise AssertionError(f"closed walks give no multiplicity for eigenvalue {a - k}")
+    for i in range(top):
+        for j in range(top - 1, i - 1, -1):
+            u[j] -= u[j + 1]
+    for j in range(top, -1, -1):
+        if u[j] < 0:
+            raise AssertionError(f"closed walks give no multiplicity for eigenvalue {j - k}")
+    return {j - k: m for j, m in enumerate(u) if m}
 
 
 def char_poly(g: FiniteGroup, s) -> IntPolynomial:
@@ -149,14 +147,15 @@ def char_poly(g: FiniteGroup, s) -> IntPolynomial:
 def is_integral_cayley(g: FiniteGroup, s) -> tuple[bool, SpectrumReport]:
     """Verdict and spectrum report for Cay(G,S).
 
-    The verdict comes from is_integral, and the report takes one of two routes.
+    The set is walked once, as in is_integral, and the verdict picks the
+    report's route.
 
-    Integral: the multiplicities come from the counts of closed walks of
-    length 0..2k (_walk_multiplicities), in k steps of sigma on Z[G]. Those
-    walks run over the whole graph, so the multiplicities already count every
-    component, and the residual is 1. The multiplicity of k is the number of
-    components, which is the index [G:H] of the subgroup H that S generates.
-    No characteristic polynomial is formed.
+    Integral: the multiplicities solve the triangular system that the walk's
+    2k+1 values at the identity give (_multiplicities). The walk runs over the
+    whole graph, so the multiplicities already count every component, and the
+    residual is 1. The multiplicity of k is the number of components, which
+    is the index [G:H] of the subgroup H that S generates. No polynomial is
+    formed.
 
     Otherwise: Cay(G,S) is [G:H] disjoint copies of Cay(H,S), so the
     characteristic polynomial (char_poly, on H) is raised to the index and
@@ -168,9 +167,9 @@ def is_integral_cayley(g: FiniteGroup, s) -> tuple[bool, SpectrumReport]:
     """
     sset = validate_connection_set(g, s)
     k = len(sset)
-    ok = is_integral(g, sset)
+    at_e, ok = _walk(g, sset)
     if ok:
-        mults = _walk_multiplicities(g, sset)
+        mults = _multiplicities(g.order, at_e)
         index = mults[k]
         residual = IntPolynomial((1,))
     else:

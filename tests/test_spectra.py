@@ -15,10 +15,11 @@ from oracles import (
 
 import integra.spectra
 from integra.cli import main
-from integra.groups import catalog_groups, closure, construct, cyclic, from_table
+from integra.groups import catalog_groups, closure, construct, cyclic, from_table, parse_word
 from integra.polys import IntPolynomial
 from integra.spectra import (
-    _walk_multiplicities,
+    _multiplicities,
+    _walk,
     char_poly,
     is_integral,
     is_integral_cayley,
@@ -224,8 +225,10 @@ def test_walk_report_matches_rank_and_newton_oracles():
 def test_walk_multiplicities_refuse_a_non_integral_spectrum():
     # The 5-cycle's eigenvalues 2cos(2*pi*j/5) are not all integers, so the
     # walk counts have no solution in multiplicities of -2..2.
+    at_e, ok = _walk(cyclic(5), (1, 4))
+    assert not ok
     with pytest.raises(AssertionError, match="closed walks give no multiplicity"):
-        _walk_multiplicities(cyclic(5), (1, 4))
+        _multiplicities(5, at_e)
 
 
 def test_only_non_integral_reports_compute_characteristic_polynomials(monkeypatch, capsys):
@@ -253,3 +256,46 @@ def test_order_432_valency_9_report_matches_character_sums():
     assert sum(m for _lam, m in rep.eigenvalues) == n
     assert sum(m * lam for lam, m in rep.eigenvalues) == 0
     assert sum(m * lam * lam for lam, m in rep.eigenvalues) == n * k
+
+
+def test_integral_report_reuses_the_verdict_walk(monkeypatch):
+    # 2k+1 steps of sigma in all (the verdict's), and no polynomial division.
+    g = construct("cyclic:6 x cyclic:6 x cyclic:6 x cyclic:2")
+    s = (1, 2, 10, 12, 60, 72, 84, 360, 420)
+    step = integra.spectra._sigma_step
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return step(*args)
+
+    def refuse(*_args):
+        raise AssertionError("divmod_by called on the integral route")
+
+    monkeypatch.setattr(integra.spectra, "_sigma_step", counted)
+    monkeypatch.setattr(IntPolynomial, "divmod_by", refuse)
+    ok, rep = is_integral_cayley(g, s)
+    assert ok and rep.index == 1
+    assert len(calls) == 2 * len(s) + 1 == 19
+
+
+@pytest.mark.parametrize(
+    "spec, word",
+    [
+        ("sym:4", "c"),
+        ("dic(cyclic:6)", "a"),
+        ("sym:5", "c"),
+        ("cyclic:2 x cyclic:2 x cyclic:2 x cyclic:2 x cyclic:3", "e"),
+    ],
+)
+def test_complete_multipartite_reports_match_the_closed_form(spec, word):
+    # S = G minus a subgroup H makes the complete multipartite graph with
+    # n/|H| parts of size |H|: eigenvalues n - |H|, 0 and -|H|.
+    g = construct(spec)
+    h = closure(g, (parse_word(g, word),))
+    s = tuple(x for x in range(g.order) if x not in h)
+    n, m = g.order, len(h)
+    ok, rep = is_integral_cayley(g, s)
+    assert ok and rep.index == 1 and rep.residual == IntPolynomial((1,))
+    expected = {n - m: 1, 0: n - n // m, -m: n // m - 1}
+    assert dict(rep.eigenvalues) == {lam: c for lam, c in expected.items() if c}
