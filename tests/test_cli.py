@@ -84,6 +84,18 @@ def test_spectrum_table_only(capsys):
     assert "integral" in err
 
 
+def test_spectrum_table_prints_the_residual_factor(capsys):
+    code, out, err = run_cli(
+        capsys, "spectrum", "--spec", "dihedral:8", "--set-words", "a^2,a^3*b,b", "--table"
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "n=8 degree=3 non-integral components=1 subgroup_order=8 index=1\n"
+        "integer eigenvalues: 3 (x1), 1 (x2), -1 (x1)\n"
+        "residual factor: x^4 + 4*x^3 + 2*x^2 - 4*x + 1\n"
+    )
+
+
 def test_classify_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "classify", "--spec", "quaternion", "--class", "A", "--k", "3")
     assert code == 0
@@ -102,6 +114,22 @@ def test_classify_report_dict_shape(capsys):
         "group": "dihedral:8", "class": "A", "k": 3, "member": False, "vacuous": False,
         "witness": [2, 3, 4], "witness_words": ["b", "a^2", "a*b"], "sets_checked": 6,
     }
+
+
+def test_classify_table_names_the_witness(capsys):
+    code, out, err = run_cli(
+        capsys, "classify", "--spec", "dihedral:8", "--class", "A", "--k", "3", "--table"
+    )
+    assert (code, out) == (1, "")
+    assert err == "dihedral:8: A_3 non-member, 6 sets checked\nwitness: {b, a^2, a*b}\n"
+
+
+def test_classify_table_marks_a_vacuous_member(capsys):
+    code, out, err = run_cli(
+        capsys, "classify", "--spec", "cyclic:61", "--class", "A", "--k", "29", "--table"
+    )
+    assert (code, out) == (0, "")
+    assert err == "cyclic:61: A_29 member (vacuous), 0 sets checked\n"
 
 
 def test_classify_from_file(capsys, tmp_path):
@@ -161,6 +189,19 @@ def test_census_directory(capsys, tmp_path):
         ("b_d8.json", "A"), ("b_d8.json", "G"),
     ]
     assert [r["member"] for r in rows] == [True, True, False, False]
+
+
+def test_census_table(capsys, tmp_path):
+    run_cli(capsys, "construct", "--spec", "cyclic:6", "--out", str(tmp_path / "a_z6.json"))
+    run_cli(capsys, "construct", "--spec", "dihedral:8", "--out", str(tmp_path / "b_d8.json"))
+    code, out, err = run_cli(capsys, "census", "--dir", str(tmp_path), "--k", "3", "--table")
+    assert (code, out) == (1, "")
+    assert err == (
+        "a_z6.json: A_3 member\n"
+        "a_z6.json: G_3 member\n"
+        "b_d8.json: A_3 non-member\n"
+        "b_d8.json: G_3 non-member\n"
+    )
 
 
 def test_census_all_members_exits_zero(capsys, tmp_path):

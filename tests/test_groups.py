@@ -18,6 +18,7 @@ from integra.groups import (
     element_orders,
     from_table,
     generalized_dicyclic,
+    inverting_semidirect,
     involution_products,
     is_abelian,
     is_nilpotent,
@@ -183,6 +184,56 @@ def test_from_table_rejects_bad_documents():
     shifted["identity"] = 0
     with pytest.raises(ValueError, match="identity"):
         from_table(shifted)
+
+
+def test_from_table_finds_an_identity_off_index_zero():
+    g = construct("dihedral:8")
+    doc, new = relabelled_document(g, random.Random(8))
+    del doc["identity"]
+    h = from_table(doc)
+    assert h.identity == new[g.identity] != 0
+    assert h.table == tuple(tuple(row) for row in doc["table"])
+
+
+def test_from_table_needs_a_two_sided_identity():
+    # x*y = -x-y mod 3 has no identity; x*y = y-x mod 3 has the left identity
+    # 0, whose column is not the identity column.
+    for table in ([[0, 2, 1], [2, 1, 0], [1, 0, 2]], [[0, 1, 2], [2, 0, 1], [1, 2, 0]]):
+        doc = {"format": "ftg-1", "order": 3, "table": table}
+        with pytest.raises(ValueError, match="^no identity$"):
+            from_table(doc)
+        with pytest.raises(ValueError, match="^no identity$"):
+            from_table({**doc, "identity": 0})
+
+
+def test_from_table_checks_columns_of_the_latin_square():
+    doc = {"format": "ftg-1", "order": 2, "identity": 0, "table": [[0, 1], [0, 1]]}
+    with pytest.raises(ValueError, match="^not a Latin square$"):
+        from_table(doc)
+
+
+def test_from_table_names_elements_when_the_document_does_not():
+    g = construct("cyclic:2 x cyclic:3")
+    doc, new = relabelled_document(g, random.Random(6))
+    del doc["names"]
+    h = from_table(doc)
+    ident = new[g.identity]
+    assert h.names[ident] == "e"
+    assert all(h.names[i] == f"g{i}" for i in range(h.order) if i != ident)
+
+
+@pytest.mark.parametrize("spec, m", [("cyclic:2 x cyclic:4", 2), ("cyclic:6", 4)])
+def test_inverting_semidirect_over_an_imported_table(spec, m):
+    # An imported table binds no generators, so the extension is generated
+    # by every non-identity element of the base and the new one.
+    built = construct(spec)
+    doc, _new = relabelled_document(built, random.Random(spec))
+    imported = from_table(doc)
+    assert imported.gens == ()
+    h = inverting_semidirect(imported, m)
+    ref = inverting_semidirect(built, m)
+    assert h.order == ref.order == m * built.order
+    assert _order_multiset(h) == _order_multiset(ref)
 
 
 def test_from_table_rejects_oversized_order_quickly():

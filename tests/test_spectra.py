@@ -34,6 +34,11 @@ def test_char_poly_small_graphs():
     assert char_poly(cyclic(4), (1, 2, 3)).coeffs == (-3, -8, -6, 0, 1)
 
 
+def test_char_poly_of_the_empty_set_is_x():
+    # <{}> is the trivial group: one vertex with no neighbours.
+    assert char_poly(cyclic(4), ()) == IntPolynomial((0, 1))
+
+
 def test_eigen_multiplicity():
     c4 = cayley_rows(cyclic(4), (1, 3))
     assert eigen_multiplicity(c4, 0) == 2
