@@ -347,7 +347,8 @@ def perm_group(n: int, perms: list[tuple[int, ...]], label: str) -> FiniteGroup:
     return _build(ident, gens, _pmul, label, name_of=_cycle_name)
 
 
-def _split_terms(spec: str) -> list[str]:
+def _split_terms(spec: str, sep: str) -> list[str]:
+    """spec cut at each sep outside parentheses, the pieces stripped."""
     terms = []
     depth = 0
     cur = []
@@ -360,7 +361,7 @@ def _split_terms(spec: str) -> list[str]:
             depth -= 1
             if depth < 0:
                 raise ValueError(f"unbalanced parentheses in {spec!r}")
-        if ch == "x" and depth == 0:
+        if ch == sep and depth == 0:
             terms.append("".join(cur))
             cur = []
         else:
@@ -383,22 +384,12 @@ def _construct_term(term: str) -> FiniteGroup:
     if term in _FIXED:
         return _FIXED[term]()
     if term.startswith("dic(") and term.endswith(")"):
-        inner = term[4:-1]
-        depth = 0
-        at = -1
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "@" and depth == 0:
-                at = i
-        if at >= 0:
-            base_spec, idx_text = inner[:at], inner[at + 1 :]
-            if not re.fullmatch(r"\d+", idx_text.strip()):
-                raise ValueError(f"bad involution index in {term!r}")
-            return generalized_dicyclic(construct(base_spec), int(idx_text))
-        return generalized_dicyclic(construct(inner))
+        base_spec, *idx = _split_terms(term[4:-1], "@")
+        if not idx:
+            return generalized_dicyclic(construct(base_spec))
+        if len(idx) > 1 or not re.fullmatch(r"\d+", idx[0]):
+            raise ValueError(f"bad involution index in {term!r}")
+        return generalized_dicyclic(construct(base_spec), int(idx[0]))
     m = re.fullmatch(r"(?:sym|alt|perm):(\d+)(?::.*)?", term, re.S)
     if m and int(m.group(1)) > ORDER_BOUND:
         raise ValueError(f"permutation degree exceeds {ORDER_BOUND}")
@@ -414,7 +405,7 @@ def _construct_term(term: str) -> FiniteGroup:
 
 def construct(spec: str) -> FiniteGroup:
     """Build a group from a construction spec like "dihedral:8 x cyclic:3"."""
-    terms = _split_terms(spec)
+    terms = _split_terms(spec, "x")
     if any(not t for t in terms):
         raise ValueError(f"cannot parse group spec {spec!r}")
     return reduce(direct_product, (_construct_term(t) for t in terms))
@@ -458,25 +449,17 @@ def from_table(doc: dict, label: str = "imported") -> FiniteGroup:
         if {rows[i][j] for i in range(n)} != full:
             raise ValueError("not a Latin square")
     ident = doc.get("identity")
+    if ident is not None and (type(ident) is not int or ident < 0 or ident >= n):
+        raise ValueError("bad identity index")
+    # A designated identity is checked, a missing one searched for, by the
+    # same two-sided test.
+    candidates = range(n) if ident is None else (ident,)
+    ident = next(
+        (e for e in candidates if all(rows[e][j] == j and rows[j][e] == j for j in range(n))),
+        None,
+    )
     if ident is None:
-        ident = next(
-            (
-                i
-                for i in range(n)
-                if all(rows[i][j] == j for j in range(n))
-                and all(rows[j][i] == j for j in range(n))
-            ),
-            None,
-        )
-        if ident is None:
-            raise ValueError("no identity")
-    else:
-        if type(ident) is not int or ident < 0 or ident >= n:
-            raise ValueError("bad identity index")
-        if any(rows[ident][j] != j for j in range(n)) or any(
-            rows[j][ident] != j for j in range(n)
-        ):
-            raise ValueError("no identity")
+        raise ValueError("no identity")
     # Light's test. The s with (x*s)*y == x*(s*y) for all x, y are closed
     # under products, so it is enough to check s over a generating set, kept
     # greedily: s is checked only if right products of the identity by the

@@ -143,6 +143,14 @@ def test_dicyclic_needs_an_involution():
         generalized_dicyclic(cyclic(3))
 
 
+def test_dicyclic_index_inside_the_base_belongs_to_the_base():
+    # Dic(Z2, a) is Z4, whose involution is again a (index 1), and Dic(Z4, a)
+    # is Q8; only the outer "@" is the outer index.
+    g = construct("dic(dic(cyclic:2@1)@1)")
+    assert g.label == "dic(dic(cyclic:2@1)@1)"
+    assert recognize_named(g, "Q8")
+
+
 def test_dicyclic_quaternion_iso():
     g = construct("dic(cyclic:4)")
     assert g.order == 8

@@ -148,6 +148,14 @@ def test_malformed_specs_exit_two(capsys):
         _run(capsys, ["classify", "--spec", spec, "--class", "G", "--k", "2"])
 
 
+def test_a_second_involution_index_is_a_bad_index(capsys):
+    # dic(...) splits at every "@" outside parentheses, so a second one makes
+    # a bad index, not a base spec holding "@".
+    for spec in ("dic(cyclic:4@1@2)", "dic(cyclic:4@@2)", "dic(cyclic:2 x cyclic:4@1@3)"):
+        assert main(["construct", "--spec", spec]) == 2
+        assert capsys.readouterr().err == f"error: bad involution index in {spec!r}\n"
+
+
 def test_malformed_documents_exit_two(capsys, tmp_path):
     rng = random.Random(SEED + 1)
     for i, doc in enumerate(_bad_documents(rng)):

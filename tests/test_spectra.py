@@ -1,9 +1,11 @@
 """Exact spectrum computation tests."""
 
 import random
+from math import gcd
 
 import pytest
 from oracles import (
+    atom_integral,
     cayley_rows,
     eigen_multiplicity,
     fl_integral,
@@ -304,3 +306,46 @@ def test_complete_multipartite_reports_match_the_closed_form(spec, word):
     assert ok and rep.index == 1 and rep.residual == IntPolynomial((1,))
     expected = {n - m: 1, 0: n - n // m, -m: n // m - 1}
     assert dict(rep.eigenvalues) == {lam: c for lam, c in expected.items() if c}
+
+
+def _atoms(g):
+    """The atoms {x^j : gcd(j, ord x) = 1} partitioning G minus the identity,
+    each sorted, in order of least member."""
+    atoms, seen = [], {g.identity}
+    for x in range(g.order):
+        if x not in seen:
+            d = g.element_order(x)
+            atom = sorted({g.power(x, j) for j in range(1, d) if gcd(j, d) == 1})
+            seen.update(atom)
+            atoms.append(atom)
+    return atoms
+
+
+@pytest.mark.parametrize("spec", [
+    "cyclic:500",
+    "cyclic:2 x cyclic:2 x cyclic:5 x cyclic:5 x cyclic:5",
+    "cyclic:4 x cyclic:5 x cyclic:25",
+    "cyclic:6 x cyclic:6 x cyclic:6",
+    "cyclic:2 x cyclic:2 x cyclic:2 x cyclic:2 x cyclic:3 x cyclic:5",
+])
+def test_walk_verdict_matches_the_atom_criterion(spec):
+    # Each drawn set is a union of atoms of valency at most 16. It holds an
+    # atom with more than two elements where the group has one, and dropping
+    # an inverse pair from that atom leaves a set that is no union of atoms.
+    # Z6^3 has exponent 6, so its atoms are inverse pairs or involutions, and
+    # every Cayley graph over it is integral.
+    g = construct(spec)
+    atoms = _atoms(g)
+    rng = random.Random(f"atoms {spec}")
+    for _ in range(6):
+        k = rng.randrange(4, 17)
+        big = rng.choice([a for a in atoms if 2 < len(a) <= k]
+                         or [a for a in atoms if len(a) == 2])
+        union = set(big)
+        for atom in rng.sample(atoms, len(atoms)):
+            if len(union) + len(atom) <= k and not union & set(atom):
+                union.update(atom)
+        y = rng.choice(big)
+        for s, integral in ((union, True), (union - {y, g.inv[y]}, len(big) == 2)):
+            assert atom_integral(g, s) is integral, (spec, sorted(s))
+            assert is_integral(g, s) is integral, (spec, sorted(s))
