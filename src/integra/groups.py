@@ -451,8 +451,6 @@ def from_table(doc: dict, label: str = "imported") -> FiniteGroup:
     ident = doc.get("identity")
     if ident is not None and (type(ident) is not int or ident < 0 or ident >= n):
         raise ValueError("bad identity index")
-    # A designated identity is checked, a missing one searched for, by the
-    # same two-sided test.
     candidates = range(n) if ident is None else (ident,)
     ident = next(
         (e for e in candidates if all(rows[e][j] == j and rows[j][e] == j for j in range(n))),
