@@ -40,8 +40,9 @@ class MembershipReport:
 def _scan(g: FiniteGroup, k: int, cls: str) -> MembershipReport:
     mode = "exact" if cls == "A" else "at_most"
     checked = 0
-    # The first failing set is the least member of its orbit, so deciding
-    # one set per orbit keeps the witness and the count of a full scan.
+    # A set decided by an earlier image shares that image's verdict, so the
+    # first failing set decides itself, and the witness and the count are
+    # those of a full scan.
     for s, decides in symmetric_sets_by_orbit(g, k, mode):
         checked += 1
         if decides and not is_integral(g, s):
@@ -108,10 +109,15 @@ def a3_structural(g: FiniteGroup) -> bool:
 
 
 def g3_structural(g: FiniteGroup) -> bool:
-    """A nontrivial 3-group of exponent 3, or a group passing the A_3 criterion."""
+    """A 3-group of exponent dividing 3, or a group with an involution that
+    passes the A_3 criterion."""
     # By Cauchy's theorem every prime dividing the order is an element order,
-    # so element orders {1, 3} say exactly: a nontrivial 3-group of exponent 3.
-    return set(element_orders(g)) == {1, 3} or a3_structural(g)
+    # so element orders within {1, 3} say exactly: a 3-group of exponent
+    # dividing 3, the trivial group included. Any other group without an
+    # involution is in A_3 only vacuously, and has an element of odd order at
+    # least 5, whose {x, x^-1} is a non-integral cycle.
+    orders = set(element_orders(g))
+    return orders <= {1, 3} or (2 in orders and a3_structural(g))
 
 
 def nilpotent_g3_case(g: FiniteGroup) -> str:
@@ -123,13 +129,14 @@ def nilpotent_g3_case(g: FiniteGroup) -> str:
     3-group. By Cauchy's theorem the primes dividing the order are element
     orders, and a nilpotent group is the direct product of its Sylow
     subgroups, so the set of element orders is {1,3}, {1,2}, {1,2,4} and
-    {1,2,3,6} respectively.
+    {1,2,3,6} respectively. The trivial group, which lies in G_3 vacuously,
+    is shape "1": its exponent 1 divides 3.
     """
     if not is_nilpotent(g):
         raise ValueError("group is not nilpotent")
     orders = element_orders(g)
     shape = set(orders)
-    if shape == {1, 3}:
+    if shape <= {1, 3}:
         return "1"
     if shape == {1, 2}:
         return "2"

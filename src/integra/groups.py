@@ -448,6 +448,7 @@ def from_table(doc: dict, label: str = "imported") -> FiniteGroup:
     for j in range(n):
         if {rows[i][j] for i in range(n)} != full:
             raise ValueError("not a Latin square")
+    # A null identity reads as an absent one, as null names do.
     ident = doc.get("identity")
     if ident is not None and (type(ident) is not int or ident < 0 or ident >= n):
         raise ValueError("bad identity index")

@@ -84,21 +84,31 @@ def enumerate_symmetric_sets(
         yield from _lex_exact(g, size)
 
 
+# Automorphisms drawn each time a set of size at least 3 decides itself.
+_DRAWS_PER_VERDICT = 2
+
+
 def symmetric_sets_by_orbit(
     g: FiniteGroup, k: int, mode: str = "exact"
-) -> Iterator[tuple[tuple[int, ...], Collection[tuple[int, ...]]]]:
+) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
     """Every set of enumerate_symmetric_sets, in its order, with the sets its
-    verdict decides. A set of size at most 2 decides itself (it generates a
-    cyclic or dihedral subgroup, so its verdict is cheap). From size 3 on,
-    Aut(G) is computed once; Cay(G,S) and Cay(G,phi(S)) are isomorphic, so the
-    least member of an orbit, which the stream meets first, decides the whole
-    orbit and every other member decides nothing. Finding one automorphism
-    costs about as much as one verdict, so when Aut(G) has more elements than
-    the stream has sets left, every set decides itself.
+    verdict decides: none, or the set itself first and then later sets.
+
+    A set of size at most 2 decides itself (it generates a cyclic or dihedral
+    subgroup, so its verdict is cheap). From size 3 on, Cay(G,S) and
+    Cay(G,phi(S)) are isomorphic for every automorphism phi, so any
+    automorphisms may prune. Finding one costs about as much as one verdict,
+    so Aut(G) is drawn lazily as verdicts are made: each set of size at least
+    3 that no earlier set decided draws _DRAWS_PER_VERDICT more, then decides
+    itself and those of its images under all automorphisms drawn so far that
+    come later in the stream and are still undecided. Orbits may be partial,
+    but each set is decided exactly once, and listing never costs more than
+    a constant times the verdicts made.
     """
     autos = None
+    drawn: list[tuple[int, ...]] = []
     ahead: set[tuple[int, ...]] = set()
-    for done, s in enumerate(enumerate_symmetric_sets(g, k, mode), 1):
+    for s in enumerate_symmetric_sets(g, k, mode):
         if len(s) <= 2:
             yield s, (s,)
         elif s in ahead:
@@ -106,14 +116,14 @@ def symmetric_sets_by_orbit(
             yield s, ()
         else:
             if autos is None:
-                left = count_symmetric_sets(g, k, mode) - done
-                autos = list(islice(automorphisms(g), left + 1))
-                if len(autos) > left:
-                    autos = [tuple(range(g.order))]
-            orbit = {tuple(sorted(phi[x] for x in s)) for phi in autos}
-            ahead |= orbit
-            ahead.remove(s)
-            yield s, orbit
+                autos = automorphisms(g)
+            drawn.extend(islice(autos, _DRAWS_PER_VERDICT))
+            # An image has the size of s, so it comes later exactly when it
+            # is lexicographically greater.
+            images = {tuple(sorted(phi[x] for x in s)) for phi in drawn}
+            later = sorted(t for t in images if t > s and t not in ahead)
+            ahead.update(later)
+            yield s, (s, *later)
 
 
 def count_symmetric_sets(g: FiniteGroup, k: int, mode: str = "exact") -> int:

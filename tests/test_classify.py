@@ -91,7 +91,9 @@ def test_nilpotent_cases():
     assert nilpotent_g3_case(construct("cyclic:6")) == "4"
     assert nilpotent_g3_case(construct("cyclic:2 x cyclic:2 x cyclic:3")) == "4"
     assert nilpotent_g3_case(construct("dihedral:8")) == "none"
-    assert nilpotent_g3_case(cyclic(1)) == "none"
+    # The trivial group is in G_3 vacuously; exponent 1 divides 3.
+    assert nilpotent_g3_case(cyclic(1)) == "1"
+    assert in_G_k(cyclic(1), 3).member and g3_structural(cyclic(1))
     assert nilpotent_g3_case(construct("cyclic:9")) == "none"
 
 
@@ -99,3 +101,33 @@ def test_nilpotent_case_rejects_non_nilpotent():
     with pytest.raises(ValueError):
         nilpotent_g3_case(construct("sym:3"))
 
+
+# Odd orders first: without an involution a group is in A_3 vacuously, and in
+# G_3 only when its exponent divides 3.
+BRUTE_FORCE_SPECS = (
+    "cyclic:5",
+    "cyclic:7",
+    "cyclic:9",
+    "cyclic:15",
+    "cyclic:5 x cyclic:5",
+    "cyclic:3 x cyclic:5",
+    "cyclic:3 x cyclic:3 x cyclic:5",
+    "cyclic:5 x heisenberg:3",
+    "cyclic:3 x cyclic:5 x heisenberg:3",
+    "cyclic:2 x dihedral:8 x dihedral:8",
+    "cyclic:2 x dihedral:12 x dihedral:12",
+    "cyclic:2 x cyclic:2 x cyclic:2 x cyclic:2 x cyclic:2",
+    "quaternion x cyclic:2 x cyclic:2",
+    "dic(cyclic:6) x cyclic:2 x cyclic:2",
+    "alt:4 x cyclic:2 x cyclic:2",
+    "sl:2:3 x cyclic:3",
+    "sym:4 x cyclic:2",
+)
+
+
+@pytest.mark.parametrize("spec", BRUTE_FORCE_SPECS)
+def test_structural_predicates_match_brute_force(spec):
+    g = construct(spec)
+    assert a2_structural(g) == in_A_k(g, 2).member
+    assert a3_structural(g) == in_A_k(g, 3).member
+    assert g3_structural(g) == in_G_k(g, 3).member

@@ -15,8 +15,10 @@ import sys
 import time
 from pathlib import Path
 
+from oracles import relabelled_document
+
 from integra.cli import main
-from integra.groups import construct, to_document
+from integra.groups import construct, from_table, to_document
 from integra.symsets import count_symmetric_sets
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -166,6 +168,23 @@ def test_malformed_documents_exit_two(capsys, tmp_path):
         _run(capsys, ["spectrum", "--file", str(path), "--set-indices", "1"])
         _run(capsys, ["classify", "--file", str(path), "--class", "A", "--k", "2"])
         _run(capsys, ["census", "--dir", str(case), "--k", "2"])
+
+
+def test_null_identity_reads_as_an_absent_key(capsys, tmp_path):
+    # "identity": null means the key is absent, as "names": null does: the
+    # identity is searched for, and a table without one still exits 2.
+    g = construct("dihedral:8")
+    doc, new = relabelled_document(g, random.Random(SEED + 3))
+    absent = {key: value for key, value in doc.items() if key != "identity"}
+    h = from_table({**doc, "identity": None})
+    assert h == from_table(absent) and h.identity == new[g.identity] != 0
+    path = tmp_path / "g.json"
+    no_identity = {"format": "ftg-1", "order": 3, "identity": None,
+                   "table": [[0, 2, 1], [2, 1, 0], [1, 0, 2]]}
+    path.write_text(json.dumps(no_identity))
+    _run(capsys, ["spectrum", "--file", str(path), "--set-indices", "1"])
+    assert main(["classify", "--file", str(path), "--class", "A", "--k", "2"]) == 2
+    assert capsys.readouterr().err == "error: no identity\n"
 
 
 def test_malformed_cli_values_exit_two(capsys, tmp_path):

@@ -5,6 +5,7 @@ import random
 import pytest
 from oracles import plain_cubic_census, plain_scan, relabelled_document
 
+import integra.classify
 import integra.spectra
 import integra.symsets
 import integra.verify
@@ -60,30 +61,76 @@ def test_automorphisms_of_relabelled_import():
             _assert_automorphism(g, phi)
 
 
-def test_least_orbit_members_decide_their_orbits():
+def _assert_partition(stream):
+    """Each set is decided exactly once, by itself or by an earlier set that
+    is the least member of its own collection."""
+    sets = [s for s, _d in stream]
+    decided = [t for _s, d in stream for t in d]
+    assert sorted(decided) == sorted(sets) and len(set(sets)) == len(sets)
+    for s, decides in stream:
+        if decides:
+            assert decides[0] == s == min(decides), s
+        if len(s) <= 2:
+            assert list(decides) == [s]
+
+
+def test_stream_decides_each_set_once_by_an_automorphic_image():
     g = construct("quaternion x cyclic:2")
     autos = list(automorphisms(g))
     stream = list(symmetric_sets_by_orbit(g, 15, mode="at_most"))
     assert [s for s, _d in stream] == list(enumerate_symmetric_sets(g, 15, mode="at_most"))
+    _assert_partition(stream)
     orbits = set()
     for s, decides in stream:
         orbit = frozenset(tuple(sorted(phi[x] for x in s)) for phi in autos)
         orbits.add(orbit)
-        if len(s) <= 2:
-            assert list(decides) == [s]
-        else:
-            assert set(decides) == (orbit if s == min(orbit) else set()), s
-    # 511 sets in 65 orbits; the 12 sets of size at most 2 (5 orbits) each decide themselves.
-    # The 192 automorphisms are fewer than the 499 larger sets, so orbits are formed.
+        assert set(decides) <= orbit, s
+    # 511 sets in 65 orbits under 192 automorphisms. The 12 sets of size at
+    # most 2 (5 orbits) decide themselves, and each of the other 60 orbits
+    # needs at least one decider; orbits may be split, but the stream prunes.
     assert len(stream) == 511 and len(orbits) == 65 and len(autos) == 192
-    assert sum(1 for _s, d in stream if d) == 65 - 5 + 12
+    assert 65 - 5 + 12 <= sum(1 for _s, d in stream if d) < 511
 
 
-def test_large_automorphism_groups_leave_sets_unmerged():
-    # Aut(Z2^4) = GL(4,2) has 20160 elements, more than the scan's 455 sets.
-    g = construct("cyclic:2 x cyclic:2 x cyclic:2 x cyclic:2")
-    assert all(list(d) == [s] for s, d in symmetric_sets_by_orbit(g, 3))
-    assert in_A_k(g, 3) == plain_scan(g, 3, "A")
+@pytest.mark.parametrize(
+    ("spec", "cls", "k"),
+    (
+        ("cyclic:2 x cyclic:2 x cyclic:2 x cyclic:2", "A", 3),
+        ("cyclic:2 x cyclic:2 x cyclic:2 x cyclic:2", "G", 5),
+        ("cyclic:2 x cyclic:2 x cyclic:2 x cyclic:2 x cyclic:2", "A", 3),
+        ("cyclic:2 x dihedral:8 x dihedral:8", "A", 3),
+        ("quaternion x cyclic:2 x cyclic:2", "G", 5),
+    ),
+)
+def test_scans_over_large_automorphism_groups_match_plain_scans(spec, cls, k):
+    g = construct(spec)
+    rep = in_A_k(g, k) if cls == "A" else in_G_k(g, k)
+    assert rep == plain_scan(g, k, cls)
+
+
+def test_automorphisms_are_drawn_only_as_verdicts_are_made(monkeypatch):
+    # |Aut(Z2xD8xD8)| is 131072, and the witness is the 72nd set.
+    g = construct("cyclic:2 x dihedral:8 x dihedral:8")
+    real_automorphisms, real_is_integral = integra.symsets.automorphisms, integra.classify.is_integral
+    drawn = verdicts = 0
+
+    def counting_automorphisms(group):
+        nonlocal drawn
+        for phi in real_automorphisms(group):
+            drawn += 1
+            yield phi
+
+    def counting_is_integral(group, s):
+        nonlocal verdicts
+        verdicts += 1
+        return real_is_integral(group, s)
+
+    monkeypatch.setattr(integra.symsets, "automorphisms", counting_automorphisms)
+    monkeypatch.setattr(integra.classify, "is_integral", counting_is_integral)
+    rep = in_A_k(g, 3)
+    assert (rep.witness, rep.sets_checked) == ((2, 3, 4), 72)
+    assert 0 < verdicts < 72
+    assert 0 < drawn <= 2 * verdicts + 2
 
 
 def test_small_scans_never_compute_automorphisms(monkeypatch):
@@ -141,10 +188,6 @@ def test_c17_violations_cover_whole_orbits(monkeypatch, spec):
     evidence = integra.verify.run_claim("C17").evidence
     row, integral_sets = plain_cubic_census(g)
     assert integral_sets
-    # Only D12 has fewer automorphisms than cubic sets (12 against 49), so only
-    # its sets form orbits; S3 (6 against 4) and Z2^3 (168 against 35) keep
-    # every set apart.
-    merged = any(len(d) > 1 for _s, d in symmetric_sets_by_orbit(g, 3))
-    assert merged == (spec == "dihedral:12")
+    _assert_partition(list(symmetric_sets_by_orbit(g, 3)))
     assert evidence["groups"] == {"Q8": row}
     assert evidence["violations"] == [{"group": "Q8", "set": list(s)} for s in integral_sets]
