@@ -40,30 +40,23 @@ class MembershipReport:
 def _scan(g: FiniteGroup, k: int, cls: str) -> MembershipReport:
     mode = "exact" if cls == "A" else "at_most"
     checked = 0
+    witness = None
     # A set decided by an earlier image shares that image's verdict, so the
     # first failing set decides itself, and the witness and the count are
     # those of a full scan.
     for s, decides in symmetric_sets_by_orbit(g, k, mode):
         checked += 1
         if decides and not is_integral(g, s):
-            return MembershipReport(
-                group_id=g.label,
-                cls=cls,
-                k=k,
-                member=False,
-                vacuous=False,
-                witness=s,
-                witness_words=tuple(g.names[x] for x in s),
-                sets_checked=checked,
-            )
+            witness = s
+            break
     return MembershipReport(
         group_id=g.label,
         cls=cls,
         k=k,
-        member=True,
+        member=witness is None,
         vacuous=checked == 0,
-        witness=None,
-        witness_words=None,
+        witness=witness,
+        witness_words=None if witness is None else tuple(g.names[x] for x in witness),
         sets_checked=checked,
     )
 

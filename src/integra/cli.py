@@ -136,22 +136,16 @@ def _cmd_census(args: argparse.Namespace) -> int:
     if not root.is_dir():
         raise CliError(f"not a directory: {args.dir}")
     reports = []
-    rows = []
-    all_member = True
     for path in sorted(root.glob("*.json")):
         g = _load_document(path)
-        for cls in ("A", "G"):
-            rep = in_A_k(g, args.k) if cls == "A" else in_G_k(g, args.k)
-            reports.append(_report_to_dict(rep))
-            rows.append(rep)
-            all_member = all_member and rep.member
+        reports += [in_A_k(g, args.k), in_G_k(g, args.k)]
     if args.json:
-        print(_canonical(reports))
+        print(_canonical([_report_to_dict(rep) for rep in reports]))
     if args.table:
-        for rep in rows:
+        for rep in reports:
             verdict = "member" if rep.member else "non-member"
             print(f"{rep.group_id}: {rep.cls}_{rep.k} {verdict}", file=sys.stderr)
-    return 0 if all_member else 1
+    return 0 if all(rep.member for rep in reports) else 1
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:

@@ -113,8 +113,6 @@ def _build(identity, gens, mul_fn, label, name_of=None) -> FiniteGroup:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic order must be positive")
-    if n > ORDER_BOUND:
-        raise ValueError(f"group order exceeds {ORDER_BOUND}")
     return _build(0, [("a", 1 % n)], lambda x, y: (x + y) % n, f"cyclic:{n}")
 
 
@@ -460,31 +458,17 @@ def from_table(doc: dict, label: str = "imported") -> FiniteGroup:
     if ident is None:
         raise ValueError("no identity")
     # Light's test. The s with (x*s)*y == x*(s*y) for all x, y are closed
-    # under products, so it is enough to check s over a generating set, kept
-    # greedily: s is checked only if right products of the identity by the
-    # generators so far do not reach it. Each kept generator at least doubles
-    # the subgroup reached, so at most log2(n) + 1 are checked: O(n^2 log n).
-    members = [ident]
-    seen = [False] * n
-    seen[ident] = True
-    gens = []
-    for s in range(n):
-        if seen[s]:
-            continue
+    # under products, so it is enough to check s over a generating set. Each
+    # generator is checked before the next is sought, so the ones before it
+    # generate a subgroup that it at least doubles: at most log2(n) + 1 are
+    # checked, O(n^2 log n) in all.
+    for s in _generating_set(rows, ident, range(n)):
         # x_times_sy(rows[x]) is the row y -> x*(s*y); s is not the identity,
         # so n >= 2 and the getter returns a tuple, not a single entry.
         x_times_sy = itemgetter(*rows[s])
         for rx in rows:
             if rows[rx[s]] != x_times_sy(rx):
                 raise ValueError("not associative")
-        gens.append(s)
-        for a in members:
-            ra = rows[a]
-            for t in gens:
-                w = ra[t]
-                if not seen[w]:
-                    seen[w] = True
-                    members.append(w)
     inv = tuple(rows[i].index(ident) for i in range(n))
     names = doc.get("names")
     if names is None:
@@ -496,6 +480,35 @@ def from_table(doc: dict, label: str = "imported") -> FiniteGroup:
     )
 
 
+def _span(table, identity, gens) -> list[int]:
+    """Everything reached from identity by right products with gens,
+    breadth-first, identity first. It assumes no group axiom, so a table not
+    yet checked may use it."""
+    members = [identity]
+    seen = {identity}
+    for a in members:
+        row = table[a]
+        for x in gens:
+            w = row[x]
+            if w not in seen:
+                seen.add(w)
+                members.append(w)
+    return members
+
+
+def _generating_set(table, identity, candidates) -> Iterator[int]:
+    """The candidates, in their order, that the ones yielded before do not
+    reach by _span. Each is yielded before the walk goes on, so a caller
+    checking it can stop there."""
+    gens: list[int] = []
+    reached = {identity}
+    for x in candidates:
+        if x not in reached:
+            yield x
+            gens.append(x)
+            reached = set(_span(table, identity, gens))
+
+
 def closure(g: FiniteGroup, gens) -> tuple[int, ...]:
     """The members of the subgroup gens generate, breadth-first over right
     products from the identity, which comes first."""
@@ -503,15 +516,7 @@ def closure(g: FiniteGroup, gens) -> tuple[int, ...]:
     for x in gl:
         if not 0 <= x < g.order:
             raise ValueError(f"element index {x} out of range")
-    members = [g.identity]
-    seen = {g.identity}
-    for a in members:
-        row = g.table[a]
-        for x in gl:
-            w = row[x]
-            if w not in seen:
-                seen.add(w)
-                members.append(w)
+    members = _span(g.table, g.identity, gl)
     if g.order % len(members):
         raise AssertionError("closure size does not divide group order")
     return tuple(members)
@@ -546,12 +551,8 @@ def automorphisms(g: FiniteGroup) -> Iterator[tuple[int, ...]]:
     generated subgroup is not a well-defined injection.
     """
     orders = element_orders(g)
-    gens: list[int] = []
-    span = {g.identity}
-    for x in sorted(range(g.order), key=lambda i: (-orders[i], i)):
-        if x not in span:
-            gens.append(x)
-            span = set(closure(g, gens))
+    by_order = sorted(range(g.order), key=lambda i: (-orders[i], i))
+    gens = list(_generating_set(g.table, g.identity, by_order))
     pools = [[y for y in range(g.order) if orders[y] == orders[x]] for x in gens]
 
     def extend(images: list[int], phi: list[int]) -> Iterator[tuple[int, ...]]:

@@ -209,7 +209,7 @@ def _claim_c6() -> tuple[bool, dict]:
 @_claim(
     "C7",
     "Brute-force G_3 membership equals the structural predicate on all 15 catalog groups.",
-    "The class G_3 consists of the A_3 groups together with the 3-groups of exponent 3.",
+    "A group lies in G_3 exactly when its element orders lie in {1, 3}, or it has an involution and lies in A_3.",
     "moderate",
 )
 def _claim_c7() -> tuple[bool, dict]:
@@ -258,6 +258,17 @@ def _claim_c9() -> tuple[bool, dict]:
     }
 
 
+def _non_integral(g: FiniteGroup, s: tuple[int, ...]) -> tuple[bool, dict]:
+    """The set is non-integral; the evidence carries its residual factor."""
+    ok, rep = is_integral_cayley(g, s)
+    return not ok, {
+        "set": list(s),
+        "set_names": _names_of(g, s),
+        "integral": ok,
+        "residual": list(rep.residual.coeffs),
+    }
+
+
 @_claim(
     "C10",
     "The order-32 and order-16 marked 2-groups fail G_4: two carry pinned non-integral valency-4 sets and the third has a non-central involution and fails G_3.",
@@ -267,50 +278,26 @@ def _claim_c9() -> tuple[bool, dict]:
 def _claim_c10() -> tuple[bool, dict]:
     h0 = cocycle_product(4, 4, label="H0")
     t0 = _words_to_set(h0, ("b*a^2", "a^2*b^3", "a^3*b^2", "b^2*a"))
-    ok0, rep0 = is_integral_cayley(h0, t0)
+    fails0, ev0 = _non_integral(h0, t0)
     h1 = inverting_semidirect(cyclic(4), 4, label="H1")
-    t1 = _words_to_set(h1, ("a^2*b^-1", "b*a^2", "a^-1*b^-1", "b*a"))
-    ok1, rep1 = is_integral_cayley(h1, t1)
+    fails1, ev1 = _non_integral(h1, _words_to_set(h1, ("a^2*b^-1", "b*a^2", "a^-1*b^-1", "b*a")))
     h2 = cocycle_product(4, 2, label="H2")
     b = h2.gen("b")
     b_is_involution = h2.element_order(b) == 2
     b_central = all(h2.mul(b, y) == h2.mul(y, b) for y in range(h2.order))
     g3 = in_G_k(h2, 3)
-    passed = (
-        (not ok0)
-        and (not ok1)
-        and b_is_involution
-        and (not b_central)
-        and (not g3.member)
-    )
+    passed = fails0 and fails1 and b_is_involution and (not b_central) and (not g3.member)
     return passed, {
+        **{f"h0_{key}": v for key, v in ev0.items()},
+        **{f"h1_{key}": v for key, v in ev1.items()},
         "h0_order": h0.order,
-        "h0_set": list(t0),
-        "h0_set_names": _names_of(h0, t0),
-        "h0_integral": ok0,
-        "h0_residual": list(rep0.residual.coeffs),
-        "h0_set_generates": rep0.index == 1,
+        "h0_set_generates": len(closure(h0, t0)) == h0.order,
         "h1_order": h1.order,
-        "h1_set": list(t1),
-        "h1_set_names": _names_of(h1, t1),
-        "h1_integral": ok1,
-        "h1_residual": list(rep1.residual.coeffs),
         "h2_order": h2.order,
         "h2_involution": h2.names[b],
         "h2_involution_central": b_central,
         "h2_g3_member": g3.member,
         "h2_g3_witness": list(g3.witness) if g3.witness else None,
-    }
-
-
-def _non_integral(g: FiniteGroup, s: tuple[int, ...]) -> tuple[bool, dict]:
-    """The set is non-integral; the evidence carries its residual factor."""
-    ok, rep = is_integral_cayley(g, s)
-    return not ok, {
-        "set": list(s),
-        "set_names": _names_of(g, s),
-        "integral": ok,
-        "residual": list(rep.residual.coeffs),
     }
 
 

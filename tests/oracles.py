@@ -256,13 +256,21 @@ def fl_integral(g: FiniteGroup, s) -> bool:
     return res.degree == 0
 
 
-# On fl_integral, so tests/test_orbits.py checks the walk verdict against FL.
+def _plain_verdict(g: FiniteGroup):
+    """An integrality test for g that shares nothing with the library's walk:
+    the atom criterion when g is abelian, fl_integral otherwise."""
+    return atom_integral if is_abelian(g) else fl_integral
+
+
+# On _plain_verdict, so tests/test_orbits.py checks the walk verdict against
+# atoms on abelian groups and against FL on the rest.
 def plain_scan(g: FiniteGroup, k: int, cls: str) -> MembershipReport:
     """A_k ("A") or G_k ("G") membership by deciding every set in enumeration order."""
+    integral = _plain_verdict(g)
     checked = 0
     for s in enumerate_symmetric_sets(g, k, "exact" if cls == "A" else "at_most"):
         checked += 1
-        if not fl_integral(g, s):
+        if not integral(g, s):
             names = tuple(g.names[x] for x in s)
             return MembershipReport(g.label, cls, k, False, False, s, names, checked)
     return MembershipReport(g.label, cls, k, True, checked == 0, None, None, checked)
@@ -270,12 +278,13 @@ def plain_scan(g: FiniteGroup, k: int, cls: str) -> MembershipReport:
 
 def plain_cubic_census(g: FiniteGroup) -> tuple[dict[str, int], list[tuple[int, ...]]]:
     """C17's row for g, counted over every cubic set, and its integral connected sets."""
+    integral = _plain_verdict(g)
     integral_sets = []
     connected = 0
     for s in enumerate_symmetric_sets(g, 3):
         if len(closure(g, s)) == g.order:
             connected += 1
-            if fl_integral(g, s):
+            if integral(g, s):
                 integral_sets.append(s)
     row = {"connected_cubic": connected, "integral": len(integral_sets)}
     return row, integral_sets

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 from oracles import is_associative, relabelled_document
 
+import integra.groups
 from integra.groups import (
     NAMED_GROUPS,
     ORDER_BOUND,
@@ -160,8 +161,15 @@ def test_dicyclic_quaternion_iso():
 def test_construct_rejects_oversized_groups():
     with pytest.raises(ValueError):
         construct("sym:5 x cyclic:5")
-    with pytest.raises(ValueError):
-        cyclic(ORDER_BOUND + 1)
+    # The breadth-first build stops at the bound, so a huge order is as
+    # cheap to refuse as one just above it.
+    start = time.monotonic()
+    for make in (lambda: cyclic(ORDER_BOUND + 1), lambda: cyclic(10**9),
+                 lambda: construct("cyclic:501"), lambda: construct("dihedral:100000")):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == f"group order exceeds {ORDER_BOUND}"
+    assert time.monotonic() - start < 1.0
 
 
 def test_construct_rejects_unknown_term():
@@ -375,6 +383,16 @@ def test_from_table_checks_associativity_quickly(spec):
     g = from_table(doc)
     assert time.monotonic() - start < 2.0
     assert g.order == doc["order"]
+
+
+def test_greedy_generating_sets_are_short_and_generate():
+    # Each generator at least doubles the subgroup the earlier ones generate.
+    doc, _new = relabelled_document(construct("sym:5 x cyclic:4"), random.Random(480))
+    groups = [g for _name, g in catalog_groups()] + [from_table(doc)]
+    for g in groups:
+        gens = list(integra.groups._generating_set(g.table, g.identity, range(g.order)))
+        assert len(gens) <= g.order.bit_length(), g.label
+        assert len(closure(g, gens)) == g.order, g.label
 
 
 def test_closure_in_symmetric_group():
