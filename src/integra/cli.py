@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 
 from .classify import in_A_k, in_G_k
@@ -159,6 +160,9 @@ def _add_group_source(p: argparse.ArgumentParser) -> None:
     src.add_argument("--file", help="path to a group document in ftg-1 format")
 
 
+# Built on the first call, not at import, and kept for the process: parsing
+# leaves no state in it.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="integra",

@@ -5,7 +5,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import chain
 from operator import itemgetter
 from typing import Iterator
 
@@ -401,8 +402,18 @@ def _construct_term(term: str) -> FiniteGroup:
     raise ValueError(f"cannot parse group spec {term!r}")
 
 
+# Specs whose groups construct keeps; one `verify --all` asks for 24.
+_CONSTRUCT_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_CONSTRUCT_CACHE_SIZE)
 def construct(spec: str) -> FiniteGroup:
-    """Build a group from a construction spec like "dihedral:8 x cyclic:3"."""
+    """Build a group from a construction spec like "dihedral:8 x cyclic:3".
+
+    A group is immutable, so a repeated spec gets the same object back from a
+    bounded cache of the most recent specs. A spec that fails is not kept: it
+    raises on every call.
+    """
     terms = _split_terms(spec, "x")
     if any(not t for t in terms):
         raise ValueError(f"cannot parse group spec {spec!r}")
@@ -436,15 +447,13 @@ def from_table(doc: dict, label: str = "imported") -> FiniteGroup:
     for row in table:
         if not isinstance(row, list) or len(row) != n:
             raise ValueError("table size does not match order")
-        if any(type(v) is not int or v < 0 or v >= n for v in row):
+        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
             raise ValueError("table entry out of range")
         rows.append(tuple(row))
-    full = set(range(n))
-    for row in rows:
-        if set(row) != full:
-            raise ValueError("not a Latin square")
-    for j in range(n):
-        if {rows[i][j] for i in range(n)} != full:
+    # With every entry in range, n distinct entries in a line are all of them.
+    # zip(*rows) yields the columns one at a time.
+    for line in chain(rows, zip(*rows)):
+        if len(set(line)) != n:
             raise ValueError("not a Latin square")
     # A null identity reads as an absent one, as null names do.
     ident = doc.get("identity")

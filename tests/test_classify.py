@@ -1,5 +1,7 @@
 """Class membership scan and structural predicate tests."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 
 from integra.classify import (
@@ -10,7 +12,7 @@ from integra.classify import (
     in_G_k,
     nilpotent_g3_case,
 )
-from integra.groups import construct, cyclic
+from integra.groups import ORDER_BOUND, construct, cyclic
 
 
 def test_d8_fails_a3_with_first_witness():
@@ -102,6 +104,38 @@ def test_nilpotent_case_rejects_non_nilpotent():
         nilpotent_g3_case(construct("sym:3"))
 
 
+# The pieces of the products the theorems are swept over, with their orders.
+PIECES = {
+    "cyclic:2": 2, "cyclic:3": 3, "cyclic:4": 4, "cyclic:5": 5, "cyclic:6": 6,
+    "cyclic:8": 8, "dihedral:6": 6, "dihedral:8": 8, "dihedral:12": 12,
+    "quaternion": 8, "alt:4": 12, "sym:4": 24, "dic(cyclic:6)": 12,
+    "heisenberg:3": 27, "sl:2:3": 24, "sym:5": 120, "alt:5": 60,
+}
+SMALL = ("cyclic:2", "cyclic:3")
+
+
+def _products():
+    """Every product of order <= ORDER_BOUND of two pieces, or of one piece
+    and two of the small cyclic groups."""
+    out = [
+        (a, b) for a, b in combinations_with_replacement(PIECES, 2)
+        if PIECES[a] * PIECES[b] <= ORDER_BOUND
+    ]
+    out += [
+        (a, b, c) for a in PIECES for b, c in combinations_with_replacement(SMALL, 2)
+        if PIECES[a] * PIECES[b] * PIECES[c] <= ORDER_BOUND
+    ]
+    return [" x ".join(factors) for factors in out]
+
+
+PRODUCTS = _products()
+
+
+def test_product_sweep_shape():
+    assert len(PRODUCTS) == len(set(PRODUCTS)) == 174
+    assert {spec: construct(spec).order for spec in PIECES} == PIECES
+
+
 # Odd orders first: without an involution a group is in A_3 vacuously, and in
 # G_3 only when its exponent divides 3.
 BRUTE_FORCE_SPECS = (
@@ -125,7 +159,9 @@ BRUTE_FORCE_SPECS = (
 )
 
 
-@pytest.mark.parametrize("spec", BRUTE_FORCE_SPECS)
+@pytest.mark.parametrize(
+    "spec", BRUTE_FORCE_SPECS + tuple(p for p in PRODUCTS if p not in BRUTE_FORCE_SPECS)
+)
 def test_structural_predicates_match_brute_force(spec):
     g = construct(spec)
     assert a2_structural(g) == in_A_k(g, 2).member

@@ -235,3 +235,35 @@ def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
         code, _out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert "not valid JSON" in err, argv
+
+
+def test_repeated_commands_in_one_process_print_the_same(capsys, tmp_path):
+    # The parser is built once per process and groups are shared per spec, so
+    # a second pass over the same commands must see nothing the first left.
+    run_cli(capsys, "construct", "--spec", "dihedral:8", "--out", str(tmp_path / "d8.json"))
+    commands = (
+        ("spectrum", "--spec", "dihedral:8", "--set-words", "a^2,a^3*b,b", "--json"),
+        ("spectrum", "--spec", "cyclic:6", "--set-indices", "1,5", "--table"),
+        ("classify", "--spec", "dihedral:8", "--class", "A", "--k", "3"),
+        ("census", "--dir", str(tmp_path), "--k", "3"),
+        ("verify", "--claim", "C1", "--json"),
+        ("construct", "--spec", "quaternion"),
+        ("spectrum", "--spec", "cyclic:6"),
+        ("spectrum", "--spec", "nope:1", "--set-indices", "1"),
+    )
+
+    def one_pass():
+        seen = []
+        for argv in commands:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            seen.append((code, *capsys.readouterr()))
+        return seen
+
+    first = one_pass()
+    assert [code for code, _out, _err in first] == [1, 0, 1, 1, 0, 0, ("exit", 2), 2]
+    assert "usage: integra spectrum" in first[6][2]
+    assert first[7][2] == "error: cannot parse group spec 'nope:1'\n"
+    assert one_pass() == first

@@ -172,6 +172,25 @@ def test_construct_rejects_oversized_groups():
     assert time.monotonic() - start < 1.0
 
 
+def test_construct_shares_one_group_per_spec():
+    g = construct("dic(cyclic:6)")
+    assert construct("dic(cyclic:6)") is g
+    assert construct("dihedral:8") is construct("dihedral:8")
+    assert construct("dihedral:8") != construct("quaternion")
+    assert construct("cyclic:6") != construct("cyclic:2 x cyclic:3")
+    # Failures are not kept: each call raises again.
+    for spec in ("cyclic:501", "dihedral:100000"):
+        for _ in range(3):
+            with pytest.raises(ValueError, match=f"^group order exceeds {ORDER_BOUND}$"):
+                construct(spec)
+    # Past the bound the oldest spec is built afresh, and equal.
+    for n in range(1, integra.groups._CONSTRUCT_CACHE_SIZE + 2):
+        construct(f"cyclic:{n}")
+    again = construct("dic(cyclic:6)")
+    assert again is not g
+    assert again == g
+
+
 def test_construct_rejects_unknown_term():
     with pytest.raises(ValueError):
         construct("frobnicate:9")
@@ -223,8 +242,28 @@ def test_from_table_needs_a_two_sided_identity():
 
 
 def test_from_table_checks_columns_of_the_latin_square():
-    doc = {"format": "ftg-1", "order": 2, "identity": 0, "table": [[0, 1], [0, 1]]}
-    with pytest.raises(ValueError, match="^not a Latin square$"):
+    # Every row is Latin; a column repeats an entry.
+    for table in ([[0, 1], [0, 1]], [[0, 1, 2], [1, 2, 0], [1, 0, 2]]):
+        doc = {"format": "ftg-1", "order": len(table), "identity": 0, "table": table}
+        with pytest.raises(ValueError, match="^not a Latin square$"):
+            from_table(doc)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        # Size and range are checked row by row, so the first bad row decides.
+        ([[0, 1, 2], [1, 2, 3], [2, 0]], "table entry out of range"),
+        ([[0, 1, 2], [1, 2], [2, 0, 3]], "table size does not match order"),
+        ([[0, 1, 2], [1, 2, 0], [2, 0, 1.0]], "table entry out of range"),
+        ([[0, 1, 2], [1, 2, 0], [2, True, 1]], "table entry out of range"),
+        # Latin rows only after every row is in range.
+        ([[0, 0, 1], [1, 2, 0], [2, 0, -1]], "table entry out of range"),
+    ],
+)
+def test_from_table_checks_size_range_and_latin_in_order(table, message):
+    doc = {"format": "ftg-1", "order": 3, "identity": 0, "table": table}
+    with pytest.raises(ValueError, match=f"^{message}$"):
         from_table(doc)
 
 
