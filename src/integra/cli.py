@@ -12,12 +12,8 @@ from pathlib import Path
 from .classify import in_A_k, in_G_k
 from .groups import FiniteGroup, construct, from_table, parse_word, to_document
 from .polys import IntPolynomial
-from .spectra import SpectrumReport, is_integral_cayley
+from .spectra import is_integral_cayley
 from .verify import list_claims, result_to_dict, run_all
-
-
-class CliError(Exception):
-    """Input or usage problem that maps to exit status 2."""
 
 
 def _canonical(obj) -> str:
@@ -39,9 +35,9 @@ def _load_document(path: Path) -> FiniteGroup:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: not valid JSON: {exc}")
+        raise ValueError(f"{path}: not valid JSON: {exc}")
     except RecursionError:
-        raise CliError(f"{path}: not valid JSON: nested too deeply")
+        raise ValueError(f"{path}: not valid JSON: nested too deeply")
     return from_table(doc, label=path.name)
 
 
@@ -56,97 +52,82 @@ def _resolve_set(g: FiniteGroup, args: argparse.Namespace) -> tuple[int, ...]:
         try:
             return tuple(int(tok) for tok in args.set_indices.split(",") if tok.strip())
         except ValueError:
-            raise CliError(f"bad --set-indices value: {args.set_indices!r}")
+            raise ValueError(f"bad --set-indices value: {args.set_indices!r}")
     return tuple(parse_word(g, w) for w in args.set_words.split(",") if w.strip())
 
 
-def _spectrum_table(rep: SpectrumReport, out) -> None:
-    verdict = "integral" if rep.integral else "non-integral"
-    print(
-        f"n={rep.n} degree={rep.degree} {verdict} components={rep.components} "
-        f"subgroup_order={rep.subgroup_order} index={rep.index}",
-        file=out,
-    )
-    eig = ", ".join(f"{v} (x{m})" for v, m in rep.eigenvalues)
-    print(f"integer eigenvalues: {eig if eig else 'none'}", file=out)
-    if not rep.integral:
-        print(f"residual factor: {rep.residual}", file=out)
+# What a command hands to main: its verdict, its JSON document (None when it
+# has none to print) and its table lines.
+_Outcome = tuple[bool, object, list[str]]
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
-    g = construct(args.spec)
-    text = _canonical(to_document(g)) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return 0
+def _cmd_construct(args: argparse.Namespace) -> _Outcome:
+    doc = to_document(construct(args.spec))
+    if not args.out:
+        return True, doc, []
+    Path(args.out).write_text(_canonical(doc) + "\n", encoding="utf-8")
+    return True, None, []
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
+def _cmd_spectrum(args: argparse.Namespace) -> _Outcome:
     g = _load_group(args)
-    s = _resolve_set(g, args)
-    ok, rep = is_integral_cayley(g, s)
-    if args.json:
-        print(_canonical(_report_to_dict(rep)))
-    if args.table:
-        _spectrum_table(rep, sys.stderr)
-    return 0 if ok else 1
+    ok, rep = is_integral_cayley(g, _resolve_set(g, args))
+    eig = ", ".join(f"{v} (x{m})" for v, m in rep.eigenvalues)
+    table = [
+        f"n={rep.n} degree={rep.degree} {'integral' if ok else 'non-integral'} "
+        f"components={rep.components} subgroup_order={rep.subgroup_order} index={rep.index}",
+        f"integer eigenvalues: {eig if eig else 'none'}",
+    ]
+    if not ok:
+        table.append(f"residual factor: {rep.residual}")
+    return ok, _report_to_dict(rep), table
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> _Outcome:
     g = _load_group(args)
     rep = in_A_k(g, args.k) if args.cls == "A" else in_G_k(g, args.k)
-    if args.json:
-        print(_canonical(_report_to_dict(rep)))
-    if args.table:
-        verdict = "member" if rep.member else "non-member"
-        extra = " (vacuous)" if rep.vacuous else ""
-        print(
-            f"{rep.group_id}: {rep.cls}_{rep.k} {verdict}{extra}, "
-            f"{rep.sets_checked} sets checked",
-            file=sys.stderr,
-        )
-        if rep.witness_words:
-            print(f"witness: {{{', '.join(rep.witness_words)}}}", file=sys.stderr)
-    return 0 if rep.member else 1
+    verdict = "member" if rep.member else "non-member"
+    extra = " (vacuous)" if rep.vacuous else ""
+    table = [
+        f"{rep.group_id}: {rep.cls}_{rep.k} {verdict}{extra}, "
+        f"{rep.sets_checked} sets checked"
+    ]
+    if rep.witness_words:
+        table.append(f"witness: {{{', '.join(rep.witness_words)}}}")
+    return rep.member, _report_to_dict(rep), table
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Outcome:
     claim_filter = None if args.all else args.claim
     if claim_filter == "":
-        raise CliError("empty --claim value")
+        raise ValueError("empty --claim value")
     summary = run_all(claim_filter)
     if claim_filter is not None and not summary.results:
-        raise CliError(f"no claims match: {claim_filter}")
-    if args.json:
-        print(_canonical([result_to_dict(r) for r in summary.results]))
-    if args.table:
-        described = {c.id: c.description for c in list_claims()}
-        for r in summary.results:
-            status = "PASS" if r.passed else "FAIL"
-            print(f"{r.id:<4} {status}  {r.elapsed:7.2f}s  {described[r.id]}", file=sys.stderr)
-        print(f"{summary.passed}/{len(summary.results)} claims passed", file=sys.stderr)
-    return 0 if summary.ok else 1
+        raise ValueError(f"no claims match: {claim_filter}")
+    described = {c.id: c.description for c in list_claims()}
+    table = [
+        f"{r.id:<4} {'PASS' if r.passed else 'FAIL'}  {r.elapsed:7.2f}s  {described[r.id]}"
+        for r in summary.results
+    ]
+    table.append(f"{summary.passed}/{len(summary.results)} claims passed")
+    return summary.ok, [result_to_dict(r) for r in summary.results], table
 
 
-def _cmd_census(args: argparse.Namespace) -> int:
+def _cmd_census(args: argparse.Namespace) -> _Outcome:
     if args.k < 1:
-        raise CliError("k must be at least 1")
+        raise ValueError("k must be at least 1")
     root = Path(args.dir)
     if not root.is_dir():
-        raise CliError(f"not a directory: {args.dir}")
+        raise ValueError(f"not a directory: {args.dir}")
     reports = []
     for path in sorted(root.glob("*.json")):
         g = _load_document(path)
         reports += [in_A_k(g, args.k), in_G_k(g, args.k)]
-    if args.json:
-        print(_canonical([_report_to_dict(rep) for rep in reports]))
-    if args.table:
-        for rep in reports:
-            verdict = "member" if rep.member else "non-member"
-            print(f"{rep.group_id}: {rep.cls}_{rep.k} {verdict}", file=sys.stderr)
-    return 0 if all(rep.member for rep in reports) else 1
+    table = [
+        f"{rep.group_id}: {rep.cls}_{rep.k} {'member' if rep.member else 'non-member'}"
+        for rep in reports
+    ]
+    return all(rep.member for rep in reports), [_report_to_dict(rep) for rep in reports], table
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -173,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a group and emit its ftg-1 document")
     p.add_argument("--spec", required=True, help="construction spec, e.g. 'dic(cyclic:6)'")
     p.add_argument("--out", help="write the document here instead of stdout")
-    p.set_defaults(func=_cmd_construct)
+    p.set_defaults(func=_cmd_construct, json=True, table=False)
 
     p = sub.add_parser("spectrum", help="exact spectrum report for one connection set")
     _add_group_source(p)
@@ -207,17 +188,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "json") and not args.json and not args.table:
-        args.json = True
-        if args.command == "verify":
-            args.table = True
+    """Run one command: its JSON document to stdout with --json or with
+    neither flag, its table lines to stderr with --table (verify prints
+    them with neither flag too); exit 0 or 1 from its verdict, 2 on an
+    input error."""
+    args = _build_parser().parse_args(argv)
+    if not args.json and not args.table:
+        args.json, args.table = True, args.command == "verify"
     try:
-        return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+        ok, document, table = args.func(args)
+        if args.json and document is not None:
+            print(_canonical(document))
+        if args.table:
+            for line in table:
+                print(line, file=sys.stderr)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -267,3 +269,139 @@ def test_repeated_commands_in_one_process_print_the_same(capsys, tmp_path):
     assert "usage: integra spectrum" in first[6][2]
     assert first[7][2] == "error: cannot parse group spec 'nope:1'\n"
     assert one_pass() == first
+
+
+def _z6_and_d8_reports():
+    def report(group, cls, member, sets_checked, witness=None, words=None):
+        return {
+            "group": group, "class": cls, "k": 3, "member": member, "vacuous": False,
+            "sets_checked": sets_checked, "witness": witness, "witness_words": words,
+        }
+
+    return [
+        report("a_z6.json", "A", True, 2),
+        report("a_z6.json", "G", True, 5),
+        report("b_d8.json", "A", False, 6, [2, 3, 4], ["b", "a^2", "a*b"]),
+        report("b_d8.json", "G", False, 8, [2, 4], ["b", "a*b"]),
+    ]
+
+
+# name: (argv, exit code, JSON document, table). "{dir}" is a directory
+# holding a_z6.json (cyclic:6) and b_d8.json (dihedral:8).
+OUTPUT_RULE_CASES = {
+    "spectrum-integral": (
+        ("spectrum", "--spec", "cyclic:6", "--set-indices", "1,5"),
+        0,
+        {
+            "n": 6, "degree": 2, "integral": True,
+            "eigenvalues": [[2, 1], [1, 2], [-1, 2], [-2, 1]], "residual": [1],
+            "components": 1, "subgroup_order": 6, "index": 1,
+        },
+        "n=6 degree=2 integral components=1 subgroup_order=6 index=1\n"
+        "integer eigenvalues: 2 (x1), 1 (x2), -1 (x2), -2 (x1)\n",
+    ),
+    "spectrum-non-integral": (
+        ("spectrum", "--spec", "dihedral:8", "--set-words", "a^2,a^3*b,b"),
+        1,
+        {
+            "n": 8, "degree": 3, "integral": False,
+            "eigenvalues": [[3, 1], [1, 2], [-1, 1]], "residual": [1, -4, 2, 4, 1],
+            "components": 1, "subgroup_order": 8, "index": 1,
+        },
+        "n=8 degree=3 non-integral components=1 subgroup_order=8 index=1\n"
+        "integer eigenvalues: 3 (x1), 1 (x2), -1 (x1)\n"
+        "residual factor: x^4 + 4*x^3 + 2*x^2 - 4*x + 1\n",
+    ),
+    "classify": (
+        ("classify", "--spec", "dihedral:8", "--class", "A", "--k", "3"),
+        1,
+        _z6_and_d8_reports()[2] | {"group": "dihedral:8"},
+        "dihedral:8: A_3 non-member, 6 sets checked\nwitness: {b, a^2, a*b}\n",
+    ),
+    "census": (
+        ("census", "--dir", "{dir}", "--k", "3"),
+        1,
+        _z6_and_d8_reports(),
+        "a_z6.json: A_3 member\n"
+        "a_z6.json: G_3 member\n"
+        "b_d8.json: A_3 non-member\n"
+        "b_d8.json: G_3 non-member\n",
+    ),
+    "verify": (
+        ("verify", "--claim", "C1"),
+        0,
+        [json.loads((Path(__file__).parent / "data" / "verify_all.json").read_text())[0]],
+        "C1   PASS  <elapsed>s  "
+        "Cay(Z_n, {1, -1}) for n in 3..12 is integral exactly for n in {3, 4, 6}.\n"
+        "1/1 claims passed\n",
+    ),
+    "construct": (
+        ("construct", "--spec", "cyclic:3"),
+        0,
+        {
+            "format": "ftg-1", "identity": 0, "names": ["e", "a", "a^2"], "order": 3,
+            "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+        },
+        None,
+    ),
+}
+OUTPUT_FLAGS = ((), ("--json",), ("--table",), ("--json", "--table"))
+
+
+@pytest.mark.parametrize(
+    "name, flags",
+    [
+        (name, flags)
+        for name, case in OUTPUT_RULE_CASES.items()
+        for flags in (OUTPUT_FLAGS if case[3] is not None else ((),))
+    ],
+    ids=lambda v: ("+".join(v) or "no-flags") if isinstance(v, tuple) else v,
+)
+def test_output_rule_per_command(capsys, tmp_path, name, flags):
+    # Canonical JSON goes to stdout with --json or with neither flag, the
+    # table goes to stderr with --table (verify also prints it with neither
+    # flag), and nothing else is written; the exit code follows the verdict.
+    argv, expected_code, document, table = OUTPUT_RULE_CASES[name]
+    run_cli(capsys, "construct", "--spec", "cyclic:6", "--out", str(tmp_path / "a_z6.json"))
+    run_cli(capsys, "construct", "--spec", "dihedral:8", "--out", str(tmp_path / "b_d8.json"))
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    code, out, err = run_cli(capsys, *argv, *flags)
+    neither = not flags
+    assert code == expected_code
+    expected_out = json.dumps(document, sort_keys=True, indent=2) + "\n"
+    assert out == (expected_out if "--json" in flags or neither else "")
+    if name == "verify":
+        err = re.sub(r" +\d+\.\d\ds  ", "  <elapsed>s  ", err)
+    show_table = "--table" in flags or (neither and name == "verify")
+    assert err == (table if show_table else "")
+
+
+def _readme_section(title):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):
+    # The three example specs of "Construction specs" fill groups/, which the
+    # census example reads; every "integra ..." line of "Command line" then
+    # runs as written, in order.
+    monkeypatch.chdir(tmp_path)
+    examples = _readme_section("Construction specs").split("Examples:", 1)[1]
+    specs = re.findall(r"`([^`]+)`", examples.split(". For", 1)[0])
+    assert len(specs) == 3, specs
+    (tmp_path / "groups").mkdir()
+    commands = [
+        ["construct", "--spec", spec, "--out", f"groups/{i}.json"] for i, spec in enumerate(specs)
+    ]
+    blocks = re.findall(r"```sh\n(.*?)```", _readme_section("Command line"), re.S)
+    lines = [line for block in blocks for line in block.splitlines()]
+    commands += [shlex.split(line)[1:] for line in lines if line.startswith("integra ")]
+    assert len(commands) == 3 + 6, commands
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1), (argv, err)
+    assert len(list((tmp_path / "groups").glob("*.json"))) == 3
