@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import factorial
+from operator import add
 
 from .groups import FiniteGroup, closure
 from .polys import IntPolynomial
@@ -39,12 +41,17 @@ def validate_connection_set(g: FiniteGroup, s) -> tuple[int, ...]:
 
 
 def _sigma_step(rows, v: list[int], lam: int = 0) -> list[int]:
-    """(sigma - lam) * v in Z[G], where rows are the table rows of the members of S."""
-    w = [-lam * c for c in v]
-    for x, c in enumerate(v):
-        if c:
-            for row in rows:
-                w[row[x]] += c
+    """(sigma - lam) * v in Z[G], where rows are the table rows of the members of S.
+
+    compress finds the support of v at C level, and only the support is
+    visited: a walk from the identity touches few vertices in its first steps.
+    """
+    w = [0] * len(v)
+    for x in compress(range(len(v)), v):
+        c = v[x]
+        w[x] -= lam * c
+        for row in rows:
+            w[row[x]] += c
     return w
 
 
@@ -103,6 +110,34 @@ def _multiplicities(n: int, at_e: list[int]) -> dict[int, int]:
     return {j - k: m for j, m in enumerate(u) if m}
 
 
+# Valency from which one sum per column beats a chain of map(add) passes in
+# _neighbour_sums.
+_SUM_FROM = 6
+
+
+def _neighbour_sums(m: list[list[int]], nbrs: list[list[int]]) -> list[list[int]]:
+    """A * M by rows: row i is the sum of the rows of M at i's neighbours.
+
+    Every entry is summed at C level. Below _SUM_FROM neighbours the rows are
+    chained through map(add), which builds no list in between and suits huge
+    integers. From _SUM_FROM on, one sum per column costs less: it adds small
+    entries in a C long, and seeding it with the first row spares the copy
+    that 0 + a makes of a big integer.
+    """
+    k = len(nbrs[0])
+    if not k:
+        return [[0] * len(m) for _ in nbrs]
+    if k >= _SUM_FROM:
+        return [list(map(sum, zip(*[m[j] for j in lst[1:]]), m[lst[0]])) for lst in nbrs]
+    out = []
+    for lst in nbrs:
+        acc = m[lst[0]]
+        for j in lst[1:]:
+            acc = map(add, acc, m[j])
+        out.append(list(acc))
+    return out
+
+
 def char_poly(g: FiniteGroup, s) -> IntPolynomial:
     """det(xI - A) for the component of Cay(G,S) that holds the identity.
 
@@ -110,7 +145,8 @@ def char_poly(g: FiniteGroup, s) -> IntPolynomial:
     when S generates G it is the whole graph. The vertices are the members of
     <S> in closure order, and the Faddeev-LeVerrier recurrence runs on the
     neighbour lists. Every division in it is exact over the integers, and
-    each matrix product reduces to row sums over those lists.
+    each matrix product reduces to row sums over those lists
+    (_neighbour_sums).
     """
     sset = validate_connection_set(g, s)
     t = g.table
@@ -121,17 +157,7 @@ def char_poly(g: FiniteGroup, s) -> IntPolynomial:
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     desc = [1]
     for k in range(1, n + 1):
-        am = []
-        for i in range(n):
-            lst = nbrs[i]
-            if not lst:
-                am.append([0] * n)
-                continue
-            acc = list(m[lst[0]])
-            for j in lst[1:]:
-                mj = m[j]
-                acc = [x + y for x, y in zip(acc, mj)]
-            am.append(acc)
+        am = _neighbour_sums(m, nbrs)
         tr = sum(am[i][i] for i in range(n))
         if tr % k:
             raise AssertionError("inexact trace division in char poly recurrence")

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from math import comb
+from operator import itemgetter
 from typing import Collection, Iterator
 
 from .groups import FiniteGroup, automorphisms
@@ -118,9 +119,10 @@ def symmetric_sets_by_orbit(
             if autos is None:
                 autos = automorphisms(g)
             drawn.extend(islice(autos, _DRAWS_PER_VERDICT))
+            at_s = itemgetter(*s)  # s has at least 3 members: returns a tuple
             # An image has the size of s, so it comes later exactly when it
             # is lexicographically greater.
-            images = {tuple(sorted(phi[x] for x in s)) for phi in drawn}
+            images = {tuple(sorted(at_s(phi))) for phi in drawn}
             later = sorted(t for t in images if t > s and t not in ahead)
             ahead.update(later)
             yield s, (s, *later)

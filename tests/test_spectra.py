@@ -21,6 +21,8 @@ from integra.groups import catalog_groups, closure, construct, cyclic, from_tabl
 from integra.polys import IntPolynomial
 from integra.spectra import (
     _multiplicities,
+    _SUM_FROM,
+    _sigma_step,
     _walk,
     char_poly,
     is_integral,
@@ -101,10 +103,13 @@ def test_two_routes_agree_on_catalog_cubic_sets():
             assert is_integral(g, s) == fl_integral(g, s) == rep.integral
 
 
-def _random_symmetric_set(g, size, rng):
-    """A random symmetric identity-free set of the given size, or None."""
+def _random_symmetric_set(g, size, rng, within=None):
+    """A random symmetric identity-free set of the given size, or None; with
+    within (a set of elements closed under inverses), drawn from it alone."""
     part = inverse_partition(g)
     pieces = [(x,) for x in part.involutions] + list(part.pairs)
+    if within is not None:
+        pieces = [p for p in pieces if p[0] in within]
     rng.shuffle(pieces)
     out: list[int] = []
     for piece in pieces:
@@ -227,6 +232,79 @@ def test_walk_report_matches_rank_and_newton_oracles():
             assert newton_char_poly(cayley_rows(g, s)) == deflated, (spec, s)
             seen["connected" if rep.index == 1 else "disconnected"] += 1
     assert min(seen.values()) > 0, seen
+
+
+def _step_by_definition(g, s, v, lam):
+    """(sigma - lam) * v: w[a*x] += v[x] for each a in S, then w -= lam*v."""
+    w = [0] * g.order
+    for x in range(g.order):
+        for a in s:
+            w[g.table[a][x]] += v[x]
+    return [wx - lam * vx for wx, vx in zip(w, v)]
+
+
+def _relabelled_dihedral_24():
+    doc, _new = relabelled_document(construct("dihedral:24"), random.Random(24))
+    h = from_table(doc)
+    assert h.identity != 0
+    return h
+
+
+@pytest.mark.parametrize("make", [
+    lambda: construct("cyclic:1"),
+    lambda: construct("dihedral:24"),
+    _relabelled_dihedral_24,
+], ids=["cyclic:1", "dihedral:24", "relabelled dihedral:24"])
+def test_sigma_step_matches_its_definition(make):
+    g = make()
+    rng = random.Random(f"sigma step {g.order} {g.identity}")
+    sets = [()]
+    for size in range(1, min(g.order, 9)):
+        s = _random_symmetric_set(g, size, rng)
+        if s is not None:
+            sets.append(s)
+    seen = {"sparse": 0, "dense": 0, "negative": 0, "multi-word": 0}
+    for s in sets:
+        rows = [g.table[a] for a in s]
+        k = len(s)
+        for lam in range(-k, k + 1):
+            for support in (min(3, g.order), g.order):
+                v = [0] * g.order
+                for x in rng.sample(range(g.order), support):
+                    size = rng.choice((rng.randrange(1, 10), rng.getrandbits(200)))
+                    v[x] = rng.choice((1, -1)) * size
+                assert _sigma_step(rows, v, lam) == _step_by_definition(g, s, v, lam), (s, lam)
+                seen["sparse" if 2 * support < g.order else "dense"] += 1
+                seen["negative"] += min(v) < 0
+                seen["multi-word"] += max(map(abs, v)) >= 2**64
+    if g.order > 1:
+        assert min(seen.values()) > 0, seen
+
+
+def test_char_poly_matches_newton_on_non_integral_sets_of_valency_4_to_8():
+    # The shapes of the benchmark's non-integral spectrum reports, on both
+    # row-sum kernels of char_poly. A disconnected set is drawn inside the
+    # subgroup that two random elements generate; SL(2,3) has none that is
+    # non-integral (its proper subgroups are Q8 and cyclic).
+    assert 4 < _SUM_FROM <= 8
+    rng = random.Random(2001)
+    seen = {"connected": 0, "disconnected": 0}
+    for spec in ("dihedral:24", "sym:4", "sl:2:3", "dihedral:32", "cyclic:8 x cyclic:4"):
+        g = construct(spec)
+        for k in range(4, 9):
+            for connected in (True, False):
+                for _ in range(100):
+                    within = None if connected else closure(g, rng.sample(range(g.order), 2))
+                    s = _random_symmetric_set(g, k, rng, within)
+                    if (s is not None and not is_integral(g, s)
+                            and (len(closure(g, s)) == g.order) == connected):
+                        break
+                else:
+                    continue
+                index = g.order // len(closure(g, s))
+                assert char_poly(g, s) ** index == newton_char_poly(cayley_rows(g, s)), (spec, s)
+                seen["connected" if connected else "disconnected"] += 1
+    assert seen["connected"] == 25 and seen["disconnected"] >= 10, seen
 
 
 def test_walk_multiplicities_refuse_a_non_integral_spectrum():
