@@ -226,13 +226,13 @@ def _inverting_extension(base: FiniteGroup, m: int, y: int, gen: str, label: str
     return _build((e, 0), gens, mul, label)
 
 
-def inverting_semidirect(a_grp: FiniteGroup, m: int, label: str | None = None) -> FiniteGroup:
+def inverting_semidirect(a_grp: FiniteGroup, m: int) -> FiniteGroup:
     """Split extension of abelian A by Z_m whose generator inverts A; m must be even."""
     if not is_abelian(a_grp):
         raise ValueError("base of the semidirect product must be abelian")
     if m < 2 or m % 2:
         raise ValueError("acting cyclic factor must have even order")
-    return _inverting_extension(a_grp, m, a_grp.identity, "b", label or f"{a_grp.label}:Z{m}")
+    return _inverting_extension(a_grp, m, a_grp.identity, "b", f"{a_grp.label}:Z{m}")
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:

@@ -189,7 +189,8 @@ def is_integral_cayley(g: FiniteGroup, s) -> tuple[bool, SpectrumReport]:
     lies in [-k, k]; x - lam is divided out while lam is a root, for each
     integer lam in that range, and what is left is the residual. The value at
     lam, by Horner's rule, is the remainder of that division, so only roots
-    are divided out.
+    are divided out. Cay(H,S) is connected and k-regular, so k is a simple
+    root, and on both routes the component count is the index.
     """
     sset = validate_connection_set(g, s)
     k = len(sset)
@@ -215,7 +216,7 @@ def is_integral_cayley(g: FiniteGroup, s) -> tuple[bool, SpectrumReport]:
         integral=ok,
         eigenvalues=tuple(sorted(mults.items(), reverse=True)),
         residual=residual,
-        components=mults.get(k, 0),
+        components=index,
         subgroup_order=g.order // index,
         index=index,
     )

@@ -1,7 +1,7 @@
 """Claims catalog: the computational facts behind the classification, re-derived with evidence.
 
-Each claim is one function declared with ``@_claim(id, description, anchor,
-scale)``; it returns (passed, evidence). Declaration order is id order.
+Each claim is one function declared with ``@_claim(id, description, anchor)``;
+it returns (passed, evidence). Declaration order is id order.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class Claim:
     id: str
     description: str
     anchor: str
-    scale: str
 
 
 @dataclass
@@ -59,11 +58,11 @@ class ClaimResult:
 _CLAIMS: dict[str, tuple[Claim, Callable[[], tuple[bool, dict]]]] = {}
 
 
-def _claim(claim_id: str, description: str, anchor: str, scale: str):
+def _claim(claim_id: str, description: str, anchor: str):
     """Register the decorated function as the body of claim ``claim_id``."""
 
     def register(fn: Callable[[], tuple[bool, dict]]):
-        _CLAIMS[claim_id] = (Claim(claim_id, description, anchor, scale), fn)
+        _CLAIMS[claim_id] = (Claim(claim_id, description, anchor), fn)
         return fn
 
     return register
@@ -81,7 +80,6 @@ def _names_of(g: FiniteGroup, s) -> list[str]:
     "C1",
     "Cay(Z_n, {1, -1}) for n in 3..12 is integral exactly for n in {3, 4, 6}.",
     "The cycle on n vertices has eigenvalues 2*cos(2*pi*j/n), all integers only for n in {3, 4, 6}.",
-    "fast",
 )
 def _claim_c1() -> tuple[bool, dict]:
     per_order: dict[str, bool] = {}
@@ -121,7 +119,6 @@ def _quadratic_factor(g: FiniteGroup, words, divisor_coeffs) -> tuple[bool, dict
     "C2",
     "The valency-3 set {a^2, a^3*b, b} over the order-8 dihedral group is non-integral, x^2+2x-1 divides its characteristic polynomial, and the group is not in A_3.",
     "That connection set has -1+sqrt(2) and -1-sqrt(2) among its eigenvalues.",
-    "fast",
 )
 def _claim_c2() -> tuple[bool, dict]:
     g = construct("dihedral:8")
@@ -137,7 +134,6 @@ def _claim_c2() -> tuple[bool, dict]:
     "C3",
     "The valency-3 set {a^3, a^5*b, b} over the order-12 dihedral group is non-integral and x^2+2x-2 divides its characteristic polynomial.",
     "That connection set has -1+sqrt(3) and -1-sqrt(3) among its eigenvalues.",
-    "fast",
 )
 def _claim_c3() -> tuple[bool, dict]:
     return _quadratic_factor(construct("dihedral:12"), ("a^3", "a^5*b", "b"), (-2, 2, 1))
@@ -147,7 +143,6 @@ def _claim_c3() -> tuple[bool, dict]:
     "C4",
     "All 13 symmetric 3-subsets of the alternating group on four letters give integral graphs.",
     "The alternating group on four letters belongs to A_3.",
-    "fast",
 )
 def _claim_c4() -> tuple[bool, dict]:
     rep = in_A_k(construct("alt:4"), 3)
@@ -164,7 +159,6 @@ def _claim_c4() -> tuple[bool, dict]:
     "C5",
     "Among catalog groups with a subgroup isomorphic to S3, only S3 itself is in A_3.",
     "A group with an S3 subgroup lies in A_3 if and only if it is S3.",
-    "fast",
 )
 def _claim_c5() -> tuple[bool, dict]:
     with_s3: list[str] = []
@@ -200,7 +194,6 @@ def _catalog_agreement(brute, structural) -> tuple[bool, dict]:
     "C6",
     "Brute-force A_3 membership equals the structural predicate on all 15 catalog groups.",
     "A group other than S3 lies in A_3 exactly when every subgroup generated by an involution and one further element is Z2, Z4, Z2xZ2, Z6, Z2xZ4, Z2xZ6, or A4.",
-    "moderate",
 )
 def _claim_c6() -> tuple[bool, dict]:
     return _catalog_agreement(lambda g: in_A_k(g, 3).member, a3_structural)
@@ -210,7 +203,6 @@ def _claim_c6() -> tuple[bool, dict]:
     "C7",
     "Brute-force G_3 membership equals the structural predicate on all 15 catalog groups.",
     "A group lies in G_3 exactly when its element orders lie in {1, 3}, or it has an involution and lies in A_3.",
-    "moderate",
 )
 def _claim_c7() -> tuple[bool, dict]:
     return _catalog_agreement(lambda g: in_G_k(g, 3).member, g3_structural)
@@ -220,7 +212,6 @@ def _claim_c7() -> tuple[bool, dict]:
     "C8",
     "For every nilpotent catalog group, matching one of the four nilpotent shapes coincides with brute-force G_3 membership.",
     "A nilpotent group lies in G_3 exactly when it matches one of four shapes, and then every involution is central.",
-    "moderate",
 )
 def _claim_c8() -> tuple[bool, dict]:
     rows: dict[str, dict] = {}
@@ -239,7 +230,6 @@ def _claim_c8() -> tuple[bool, dict]:
     "C9",
     "The order-27 Heisenberg group is in G_3 and its valency-4 set {a, a^2, b, b^2} is non-integral, so it is not in G_4.",
     "Over an exponent-3 group of order 27 the set {a, a^2, b, b^2} yields a non-integral graph.",
-    "fast",
 )
 def _claim_c9() -> tuple[bool, dict]:
     g = construct("heisenberg:3")
@@ -273,15 +263,14 @@ def _non_integral(g: FiniteGroup, s: tuple[int, ...]) -> tuple[bool, dict]:
     "C10",
     "The order-32 and order-16 marked 2-groups fail G_4: two carry pinned non-integral valency-4 sets and the third has a non-central involution and fails G_3.",
     "None of the three marked 2-groups of exponent 4 belongs to G_4.",
-    "fast",
 )
 def _claim_c10() -> tuple[bool, dict]:
-    h0 = cocycle_product(4, 4, label="H0")
+    h0 = cocycle_product(4, 4)
     t0 = _words_to_set(h0, ("b*a^2", "a^2*b^3", "a^3*b^2", "b^2*a"))
     fails0, ev0 = _non_integral(h0, t0)
-    h1 = inverting_semidirect(cyclic(4), 4, label="H1")
+    h1 = inverting_semidirect(cyclic(4), 4)
     fails1, ev1 = _non_integral(h1, _words_to_set(h1, ("a^2*b^-1", "b*a^2", "a^-1*b^-1", "b*a")))
-    h2 = cocycle_product(4, 2, label="H2")
+    h2 = cocycle_product(4, 2)
     b = h2.gen("b")
     b_is_involution = h2.element_order(b) == 2
     b_central = all(h2.mul(b, y) == h2.mul(y, b) for y in range(h2.order))
@@ -305,7 +294,6 @@ def _claim_c10() -> tuple[bool, dict]:
     "C11",
     "The valency-4 set of two 3-cycles and two double transpositions over the alternating group on four letters is non-integral.",
     "The alternating group on four letters does not belong to G_4.",
-    "fast",
 )
 def _claim_c11() -> tuple[bool, dict]:
     g = construct("alt:4")
@@ -317,10 +305,9 @@ def _claim_c11() -> tuple[bool, dict]:
     "C12",
     "An explicit valency-4 set over (Z3:Z4)xZ2 of order 24 is non-integral.",
     "The group (Z3:Z4)xZ2 does not belong to G_4.",
-    "fast",
 )
 def _claim_c12() -> tuple[bool, dict]:
-    g = direct_product(inverting_semidirect(cyclic(3), 4, label="Z3:Z4"), cyclic(2))
+    g = direct_product(inverting_semidirect(cyclic(3), 4), cyclic(2))
     passed, evidence = _non_integral(g, _words_to_set(g, ("b^-1*a2", "a2*b", "b*a", "a^-1*b^-1")))
     return passed, {"order": g.order, **evidence}
 
@@ -332,7 +319,6 @@ _C13_WITNESS = (3, 6, 8, 22, 23, 28)
     "C13",
     "The generalized dicyclic group over Z3xZ6 passes every nonempty symmetric set of size at most 5 and fails a pinned size-6 set.",
     "The generalized dicyclic group over Z3xZ6 lies in G_5 but not in G_6.",
-    "moderate",
 )
 def _claim_c13() -> tuple[bool, dict]:
     g = construct("dic(cyclic:3 x cyclic:6)")
@@ -365,7 +351,6 @@ _C14_SPECS = (
     "C14",
     "S3, Z2xZ2xZ3, Z2xZ4, Q8, Q8xZ2 and Dic(Z6) are integral on every symmetric connection set of every size.",
     "Every Cayley graph over these six groups is integral.",
-    "moderate",
 )
 def _claim_c14() -> tuple[bool, dict]:
     rows: dict[str, dict] = {}
@@ -389,7 +374,6 @@ def _claim_c14() -> tuple[bool, dict]:
     "C15",
     "Q8xZ4, A4xZ3 and SL(2,3) are all in G_3 by brute force.",
     "Products of a G_3 group with a fitting abelian factor, and SL(2,3), stay in G_3.",
-    "fast",
 )
 def _claim_c15() -> tuple[bool, dict]:
     rows: dict[str, dict] = {}
@@ -414,7 +398,6 @@ def _claim_c15() -> tuple[bool, dict]:
     "C16",
     "Brute-force A_2 membership equals the structural predicate on all 15 catalog groups.",
     "A group lies in A_2 exactly when its element orders lie in {1, 2, 3, 4, 6} and it has no dihedral subgroup of order 8 or 12.",
-    "moderate",
 )
 def _claim_c16() -> tuple[bool, dict]:
     return _catalog_agreement(lambda g: in_A_k(g, 2).member, a2_structural)
@@ -424,7 +407,6 @@ def _claim_c16() -> tuple[bool, dict]:
     "C17",
     "Every connected cubic integral Cayley graph over a catalog group has its group among the fourteen allowed ones.",
     "A connected cubic Cayley graph is integral only over one of fourteen listed groups.",
-    "moderate",
 )
 def _claim_c17() -> tuple[bool, dict]:
     # Written out, so that a group added to CATALOG does not join the list.

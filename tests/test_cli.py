@@ -376,6 +376,28 @@ def test_output_rule_per_command(capsys, tmp_path, name, flags):
     assert err == (table if show_table else "")
 
 
+# Each help page and the names it must show. argparse formats help only when
+# asked, so a stray % in a help string fails here and nowhere else.
+_HELP_NAMES = {
+    (): ("construct", "spectrum", "classify", "verify", "census"),
+    ("construct",): ("--spec", "--out"),
+    ("spectrum",): ("--spec", "--file", "--set-indices", "--set-words", "--json", "--table"),
+    ("classify",): ("--spec", "--file", "--class", "--k", "--json", "--table"),
+    ("verify",): ("--all", "--claim", "--json", "--table"),
+    ("census",): ("--dir", "--k", "--json", "--table"),
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP_NAMES), ids=lambda c: " ".join(c) or "integra")
+def test_help_renders(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name in _HELP_NAMES[command]:
+        assert name in out, name
+
+
 def _readme_section(title):
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
