@@ -5,25 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import (
-    NAMED_GROUPS,
     FiniteGroup,
-    closure,
     element_orders,
     involution_products,
     is_nilpotent,
-    order_statistics,
     recognize_named,
 )
 from .spectra import is_integral
 from .symsets import symmetric_sets_by_orbit
-
-# Subgroups generated by an involution and one further element must have the
-# element-order statistics of one of these groups (or the whole group must be
-# S3) for membership in A_3.
-_A3_TWO_GENERATED = [
-    NAMED_GROUPS[nm] for nm in ("Z2", "Z4", "Z2xZ2", "Z6", "Z2xZ4", "Z2xZ6", "A4")
-]
-
 
 @dataclass(frozen=True)
 class MembershipReport:
@@ -80,24 +69,27 @@ def a2_structural(g: FiniteGroup) -> bool:
 
 
 def a3_structural(g: FiniteGroup) -> bool:
-    """Either g is S3, or every subgroup generated by an involution and one
-    further element is Z2, Z2xZ2, Z4, Z6, Z2xZ4, Z2xZ6 or A4."""
+    """Either g is S3, or for every involution x and every y: ord(y) is 1, 2,
+    3, 4 or 6 when xy = yx, and 3 otherwise.
+
+    That says every subgroup generated by an involution and one further
+    element is Z2, Z2xZ2, Z4, Z6, Z2xZ4, Z2xZ6 or A4. A commuting <x, y> is
+    Z_m or Z2 x Z_m with m = ord(y). A non-commuting one must be A4, where
+    every element off V4 has order 3. Conversely xy is another y that x does
+    not commute with, so ord(xy) = 3 as well, and x^2 = y^3 = (xy)^3 = 1
+    presents the (2,3,3) von Dyck group A4, whose only non-abelian quotient
+    is itself.
+    """
     if recognize_named(g, "S3"):
         return True
     orders = element_orders(g)
+    t = g.table
     for x in range(g.order):
         if orders[x] != 2:
             continue
-        # Every subgroup of an allowed group that contains x is allowed, so a
-        # y inside an accepted <x, y'> needs no closure of its own.
-        covered: set[int] = set()
-        for y in range(g.order):
-            if y in covered:
-                continue
-            members = closure(g, (x, y))
-            if order_statistics(g, members) not in _A3_TWO_GENERATED:
+        for y, xy in enumerate(t[x]):
+            if orders[y] not in ((1, 2, 3, 4, 6) if xy == t[y][x] else (3,)):
                 return False
-            covered.update(members)
     return True
 
 

@@ -7,6 +7,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from itertools import chain
+from math import gcd
 from operator import itemgetter
 from typing import Iterator
 
@@ -51,10 +52,6 @@ class FiniteGroup:
             acc = self.table[acc][i]
             k += 1
         return k
-
-    def commutator(self, i: int, j: int) -> int:
-        t = self.table
-        return t[t[self.inv[i]][self.inv[j]]][t[i][j]]
 
     def gen(self, name: str) -> int:
         for nm, idx in self.gens:
@@ -587,17 +584,22 @@ def is_abelian(g: FiniteGroup) -> bool:
 
 
 def is_nilpotent(g: FiniteGroup) -> bool:
-    """Whether the lower central series of g reaches the trivial group."""
-    # [G, cur] lies inside cur, so an equal size means the series has stopped.
-    cur = tuple(range(g.order))
-    while True:
-        comms = {g.commutator(a, h) for a in range(g.order) for h in cur}
-        nxt = closure(g, comms)
-        if len(nxt) == 1:
-            return True
-        if len(nxt) == len(cur):
-            return False
-        cur = nxt
+    """Whether every two elements of coprime orders commute.
+
+    Then a Sylow p-subgroup P is normalized by itself and by every
+    p'-element, which together generate g, so every Sylow subgroup is normal
+    and g is nilpotent. Conversely a nilpotent group is the direct product of
+    its Sylow subgroups, and elements of coprime orders lie in disjoint
+    factors.
+    """
+    orders = element_orders(g)
+    t = g.table
+    return all(
+        t[i][j] == t[j][i]
+        for i in range(g.order)
+        for j in range(i + 1, g.order)
+        if gcd(orders[i], orders[j]) == 1
+    )
 
 
 def order_statistics(g: FiniteGroup, members) -> dict[int, int]:

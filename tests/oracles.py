@@ -6,11 +6,15 @@ eigenvalue lam of the k-regular graph as n - rank(A - lam*I), by
 fraction-free elimination, for every lam in [-k, k], and the characteristic
 polynomial from the traces of the powers of A by Newton's identities. A
 verdict from the Faddeev-LeVerrier characteristic polynomial, with no walk in
-Z[G]. A floating-point character-sum oracle for abelian groups, and the
-exact atom criterion for them, which reaches order 500. A plain
-membership scan that decides every connection set, with no automorphism
-orbits. An associativity check of a table over every triple. And a random
-relabelling of a group table, as an imported document would carry it.
+Z[G] and no code from integra.spectra. A floating-point character-sum
+oracle for abelian groups, and the exact atom criterion for them, which
+reaches order 500. The normal-set criterion for unions of conjugacy
+classes in any group. The A_3 criterion and nilpotency as subgroup
+closures: each <x, y> told by its element orders, and the lower central
+series. A plain membership scan that decides every connection set, with no
+automorphism orbits. An associativity check of a table over every triple.
+And a random relabelling of a group table, as an imported document would
+carry it.
 """
 
 from __future__ import annotations
@@ -18,11 +22,21 @@ from __future__ import annotations
 import cmath
 from itertools import product
 from math import gcd
+from operator import add
 
 from integra.classify import MembershipReport
-from integra.groups import FiniteGroup, closure, from_table, is_abelian
+from integra.groups import (
+    NAMED_GROUPS,
+    FiniteGroup,
+    closure,
+    element_orders,
+    from_table,
+    is_abelian,
+    order_statistics,
+    recognize_named,
+)
 from integra.polys import IntPolynomial
-from integra.spectra import SpectrumReport, char_poly
+from integra.spectra import SpectrumReport
 from integra.symsets import enumerate_symmetric_sets
 
 IMAG_TOL = 1e-9
@@ -245,11 +259,93 @@ def atom_integral(g: FiniteGroup, s) -> bool:
     return True
 
 
+def normal_integral(g: FiniteGroup, s) -> bool:
+    """Whether Cay(G,S) is integral for S a union of conjugacy classes:
+    exactly when S is a union of classes of the relation x ~ y, <x> and <y>
+    conjugate (Alperin-Peterson 2012; Godsil-Spiga). The class of x holds
+    the conjugates of every generator x^j of <x>."""
+    t, inv = g.table, g.inv
+    members = set(s)
+
+    def conjugates(x):
+        return {t[t[inv[c]][x]][c] for c in range(g.order)}
+
+    if any(not conjugates(x) <= members for x in members):
+        raise ValueError("the normal-set rule needs a union of conjugacy classes")
+    for x in members:
+        d = g.element_order(x)
+        for j in range(2, d):
+            if gcd(j, d) == 1 and not conjugates(g.power(x, j)) <= members:
+                return False
+    return True
+
+
+def a3_by_subgroups(g: FiniteGroup) -> bool:
+    """The A_3 criterion as the paper words it: g is S3, or every subgroup
+    generated by an involution and one further element is Z2, Z2xZ2, Z4, Z6,
+    Z2xZ4, Z2xZ6 or A4. Each <x, y> is closed and told by its element-order
+    statistics, which below order 16 decide a group up to isomorphism."""
+    if recognize_named(g, "S3"):
+        return True
+    allowed = [NAMED_GROUPS[nm] for nm in ("Z2", "Z4", "Z2xZ2", "Z6", "Z2xZ4", "Z2xZ6", "A4")]
+    orders = element_orders(g)
+    return all(
+        order_statistics(g, closure(g, (x, y))) in allowed
+        for x in range(g.order)
+        if orders[x] == 2
+        for y in range(g.order)
+    )
+
+
+def nilpotent_by_series(g: FiniteGroup) -> bool:
+    """Whether the lower central series G, [G, G], [G, [G, G]], ... reaches
+    the trivial group. Each term is closed from the commutators a^-1 h^-1 a h
+    of every a in G with every h in the term before; [G, H] lies inside H,
+    so an equal size means the series has stopped."""
+    t, inv = g.table, g.inv
+    cur = tuple(range(g.order))
+    while True:
+        comms = {t[t[inv[a]][inv[h]]][t[a][h]] for a in range(g.order) for h in cur}
+        nxt = closure(g, comms)
+        if len(nxt) == 1:
+            return True
+        if len(nxt) == len(cur):
+            return False
+        cur = nxt
+
+
 def fl_integral(g: FiniteGroup, s) -> bool:
-    """Whether Cay(G,S) is integral, by deflating the Faddeev-LeVerrier
-    polynomial of the identity's component by x - lam for every root lam in
-    [-k, k]: the spectrum is integral when nothing is left."""
-    res = char_poly(g, s)
+    """Whether Cay(G,S) is integral, from the characteristic polynomial of
+    the identity's component, of which every component is a copy.
+
+    The Faddeev-LeVerrier recurrence M_j = A M_(j-1) + c_j I, with
+    c_j = -tr(A M_(j-1)) / j, gives its coefficients; row x of A M is the sum
+    of the rows of M at x's neighbours s*x. The polynomial is deflated by
+    x - lam for every root lam in [-k, k], and the spectrum is integral when
+    nothing is left.
+    """
+    t = g.table
+    verts = closure(g, s)
+    pos = {x: i for i, x in enumerate(verts)}
+    nbrs = [[pos[t[a][x]] for a in s] for x in verts]
+    m = len(verts)
+    mat = [[int(i == j) for j in range(m)] for i in range(m)]
+    coeffs = [1]
+    for j in range(1, m + 1):
+        product = []
+        for first, *rest in nbrs:
+            row = mat[first]
+            for c in rest:
+                row = map(add, row, mat[c])
+            product.append(list(row))
+        mat = product
+        c, rem = divmod(-sum(mat[i][i] for i in range(m)), j)
+        if rem:
+            raise AssertionError("inexact trace division in Faddeev-LeVerrier")
+        coeffs.append(c)
+        for i in range(m):
+            mat[i][i] += c
+    res = IntPolynomial(tuple(reversed(coeffs)))
     for lam in range(-len(s), len(s) + 1):
         while res(lam) == 0:
             res = res.divmod_by(IntPolynomial((-lam, 1)))[0]

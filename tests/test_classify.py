@@ -1,8 +1,10 @@
 """Class membership scan and structural predicate tests."""
 
+import random
 from itertools import combinations_with_replacement
 
 import pytest
+from oracles import a3_by_subgroups, nilpotent_by_series, relabelled_document
 
 from integra.classify import (
     a2_structural,
@@ -12,7 +14,15 @@ from integra.classify import (
     in_G_k,
     nilpotent_g3_case,
 )
-from integra.groups import ORDER_BOUND, construct, cyclic
+from integra.groups import (
+    CATALOG,
+    ORDER_BOUND,
+    construct,
+    cyclic,
+    element_orders,
+    from_table,
+    is_nilpotent,
+)
 
 
 def test_d8_fails_a3_with_first_witness():
@@ -167,3 +177,33 @@ def test_structural_predicates_match_brute_force(spec):
     assert a2_structural(g) == in_A_k(g, 2).member
     assert a3_structural(g) == in_A_k(g, 3).member
     assert g3_structural(g) == in_G_k(g, 3).member
+
+
+def _structural(g):
+    return a3_structural(g), g3_structural(g), is_nilpotent(g)
+
+
+def _by_subgroups(g):
+    """The A_3, G_3 and nilpotency verdicts from subgroup closures: G_3 is
+    exponent dividing 3, or an involution and the A_3 criterion."""
+    orders = set(element_orders(g))
+    a3 = a3_by_subgroups(g)
+    return a3, orders <= {1, 3} or (2 in orders and a3), nilpotent_by_series(g)
+
+
+CATALOG_SPECS = tuple(spec for _name, spec in CATALOG)
+SWEPT_SPECS = tuple(dict.fromkeys(CATALOG_SPECS + BRUTE_FORCE_SPECS + tuple(PRODUCTS)))
+
+
+@pytest.mark.parametrize("spec", SWEPT_SPECS)
+def test_structural_predicates_match_subgroup_oracles(spec):
+    g = construct(spec)
+    assert _structural(g) == _by_subgroups(g)
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS)
+def test_structural_predicates_on_relabelled_imports(spec):
+    built = construct(spec)
+    g = from_table(relabelled_document(built, random.Random(spec))[0])
+    assert g.identity != 0
+    assert _structural(g) == _by_subgroups(g) == _structural(built)

@@ -10,6 +10,7 @@ from oracles import (
     eigen_multiplicity,
     fl_integral,
     newton_char_poly,
+    normal_integral,
     oracle_spectrum,
     rank_spectrum,
     relabelled_document,
@@ -427,3 +428,44 @@ def test_walk_verdict_matches_the_atom_criterion(spec):
         for s, integral in ((union, True), (union - {y, g.inv[y]}, len(big) == 2)):
             assert atom_integral(g, s) is integral, (spec, sorted(s))
             assert is_integral(g, s) is integral, (spec, sorted(s))
+
+
+NORMAL_SET_SPECS = (
+    "sym:4", "alt:5", "sl:2:3", "heisenberg:3", "dic(cyclic:10)", "dihedral:20 x cyclic:3",
+    "quaternion x cyclic:3", "alt:4 x cyclic:4", "sym:3 x cyclic:8",
+)
+
+
+def _inverse_closed_classes(g):
+    """The non-identity conjugacy classes of g, each joined with the class of
+    its inverses."""
+    t, inv = g.table, g.inv
+    seen, pieces = {g.identity}, []
+    for x in range(g.order):
+        if x not in seen:
+            piece = {t[t[inv[c]][y]][c] for y in (x, inv[x]) for c in range(g.order)}
+            seen.update(piece)
+            pieces.append(sorted(piece))
+    return pieces
+
+
+def test_walk_verdict_on_normal_sets_matches_the_class_rule():
+    # Each drawn set is a union of inverse-closed conjugacy classes, of
+    # valency at most 40; both verdicts must occur.
+    rng = random.Random("normal sets")
+    verdicts = []
+    for spec in NORMAL_SET_SPECS:
+        g = construct(spec)
+        pieces = _inverse_closed_classes(g)
+        drawn = set()
+        for _ in range(30):
+            s = tuple(sorted(x for piece in pieces if rng.random() < 0.5 for x in piece))
+            if s and len(s) <= 40 and s not in drawn:
+                drawn.add(s)
+                integral = is_integral(g, s)
+                assert normal_integral(g, s) is integral, (spec, s)
+                verdicts.append(integral)
+    assert len(verdicts) > 150 and True in verdicts and False in verdicts
+    g = construct("sym:3")
+    with pytest.raises(ValueError):
+        normal_integral(g, (g.gen("s"),))
