@@ -30,12 +30,9 @@ def _scan(g: FiniteGroup, k: int, cls: str) -> MembershipReport:
     mode = "exact" if cls == "A" else "at_most"
     checked = 0
     witness = None
-    # A set decided by an earlier image shares that image's verdict, so the
-    # first failing set decides itself, and the witness and the count are
-    # those of a full scan.
-    for s, decides in symmetric_sets_by_orbit(g, k, mode):
+    for s, integral in symmetric_sets_by_orbit(g, k, mode, is_integral):
         checked += 1
-        if decides and not is_integral(g, s):
+        if not integral:
             witness = s
             break
     return MembershipReport(

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import islice
 from math import comb
 from operator import itemgetter
-from typing import Collection, Iterator
+from typing import Callable, Collection, Iterator, TypeVar
 
 from .groups import FiniteGroup, automorphisms
 
@@ -85,47 +85,46 @@ def enumerate_symmetric_sets(
         yield from _lex_exact(g, size)
 
 
-# Automorphisms drawn each time a set of size at least 3 decides itself.
+# Automorphisms drawn each time a set of size at least 3 is valued.
 _DRAWS_PER_VERDICT = 2
+
+_V = TypeVar("_V")
 
 
 def symmetric_sets_by_orbit(
-    g: FiniteGroup, k: int, mode: str = "exact"
-) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
-    """Every set of enumerate_symmetric_sets, in its order, with the sets its
-    verdict decides: none, or the set itself first and then later sets.
+    g: FiniteGroup, k: int, mode: str, value: Callable[[FiniteGroup, tuple[int, ...]], _V]
+) -> Iterator[tuple[tuple[int, ...], _V]]:
+    """Every set of enumerate_symmetric_sets, in its order, with value(g, s).
 
-    A set of size at most 2 decides itself (it generates a cyclic or dihedral
-    subgroup, so its verdict is cheap). From size 3 on, Cay(G,S) and
-    Cay(G,phi(S)) are isomorphic for every automorphism phi, so any
-    automorphisms may prune. Finding one costs about as much as one verdict,
-    so Aut(G) is drawn lazily as verdicts are made: each set of size at least
-    3 that no earlier set decided draws _DRAWS_PER_VERDICT more, then decides
-    itself and those of its images under all automorphisms drawn so far that
-    come later in the stream and are still undecided. Orbits may be partial,
-    but each set is decided exactly once, and listing never costs more than
-    a constant times the verdicts made.
+    value must be invariant under Aut(G), as every property of Cay(G,S) up
+    to isomorphism is: Cay(G,S) and Cay(G,phi(S)) are isomorphic for every
+    automorphism phi. A set of size at most 2 is valued by its own call (it
+    generates a cyclic or dihedral subgroup, so its value is cheap). From
+    size 3 on, finding an automorphism costs about as much as one verdict,
+    so Aut(G) is drawn lazily: each set that no earlier image valued draws
+    _DRAWS_PER_VERDICT more, is valued, and hands its value to its images
+    under all automorphisms drawn so far that come later in the stream.
+    Orbits may be partial, but value runs at most once per set, and listing
+    never costs more than a constant times the values computed.
     """
     autos = None
     drawn: list[tuple[int, ...]] = []
-    ahead: set[tuple[int, ...]] = set()
+    ahead: dict[tuple[int, ...], _V] = {}
     for s in enumerate_symmetric_sets(g, k, mode):
         if len(s) <= 2:
-            yield s, (s,)
+            yield s, value(g, s)
         elif s in ahead:
-            ahead.remove(s)
-            yield s, ()
+            yield s, ahead.pop(s)
         else:
             if autos is None:
                 autos = automorphisms(g)
             drawn.extend(islice(autos, _DRAWS_PER_VERDICT))
+            v = value(g, s)
             at_s = itemgetter(*s)  # s has at least 3 members: returns a tuple
             # An image has the size of s, so it comes later exactly when it
             # is lexicographically greater.
-            images = {tuple(sorted(at_s(phi))) for phi in drawn}
-            later = sorted(t for t in images if t > s and t not in ahead)
-            ahead.update(later)
-            yield s, (s, *later)
+            ahead.update((t, v) for t in {tuple(sorted(at_s(phi))) for phi in drawn} if t > s)
+            yield s, v
 
 
 def count_symmetric_sets(g: FiniteGroup, k: int, mode: str = "exact") -> int:

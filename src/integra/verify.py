@@ -403,6 +403,14 @@ def _claim_c16() -> tuple[bool, dict]:
     return _catalog_agreement(lambda g: in_A_k(g, 2).member, a2_structural)
 
 
+def _cubic_value(g: FiniteGroup, s: tuple[int, ...]) -> tuple[bool, bool]:
+    """Whether Cay(G,S) is connected, and whether it is connected and integral.
+
+    Both are invariant under Aut(G), as symmetric_sets_by_orbit needs."""
+    connected = len(closure(g, s)) == g.order
+    return connected, connected and is_integral(g, s)
+
+
 @_claim(
     "C17",
     "Every connected cubic integral Cayley graph over a catalog group has its group among the fourteen allowed ones.",
@@ -417,20 +425,13 @@ def _claim_c17() -> tuple[bool, dict]:
     rows: dict[str, dict] = {}
     violations: list[dict] = []
     for name, g in catalog_groups():
-        connected = integral = 0
-        bad: set[tuple[int, ...]] = set()
-        for s, decides in symmetric_sets_by_orbit(g, 3):
-            if not decides:
-                continue
-            if len(closure(g, s)) != g.order:
-                continue
-            connected += len(decides)
-            if is_integral(g, s):
-                integral += len(decides)
-                if name not in allowed:
-                    bad.update(decides)
-        rows[name] = {"connected_cubic": connected, "integral": integral}
-        violations.extend({"group": name, "set": list(s)} for s in sorted(bad))
+        n_connected = n_integral = 0
+        for s, (connected, integral) in symmetric_sets_by_orbit(g, 3, "exact", _cubic_value):
+            n_connected += connected
+            n_integral += integral
+            if integral and name not in allowed:
+                violations.append({"group": name, "set": list(s)})
+        rows[name] = {"connected_cubic": n_connected, "integral": n_integral}
     return not violations, {
         "allowed": allowed,
         "groups": rows,

@@ -1,6 +1,7 @@
 """Class membership scan and structural predicate tests."""
 
 import random
+from functools import cache
 from itertools import combinations_with_replacement
 
 import pytest
@@ -146,6 +147,11 @@ def test_product_sweep_shape():
     assert {spec: construct(spec).order for spec in PIECES} == PIECES
 
 
+# The two sweeps below share their groups: construct keeps fewer than the
+# specs swept, so without this each group would be built twice.
+_swept = cache(construct)
+
+
 # Odd orders first: without an involution a group is in A_3 vacuously, and in
 # G_3 only when its exponent divides 3.
 BRUTE_FORCE_SPECS = (
@@ -173,7 +179,7 @@ BRUTE_FORCE_SPECS = (
     "spec", BRUTE_FORCE_SPECS + tuple(p for p in PRODUCTS if p not in BRUTE_FORCE_SPECS)
 )
 def test_structural_predicates_match_brute_force(spec):
-    g = construct(spec)
+    g = _swept(spec)
     assert a2_structural(g) == in_A_k(g, 2).member
     assert a3_structural(g) == in_A_k(g, 3).member
     assert g3_structural(g) == in_G_k(g, 3).member
@@ -197,7 +203,7 @@ SWEPT_SPECS = tuple(dict.fromkeys(CATALOG_SPECS + BRUTE_FORCE_SPECS + tuple(PROD
 
 @pytest.mark.parametrize("spec", SWEPT_SPECS)
 def test_structural_predicates_match_subgroup_oracles(spec):
-    g = construct(spec)
+    g = _swept(spec)
     assert _structural(g) == _by_subgroups(g)
 
 

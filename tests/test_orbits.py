@@ -61,35 +61,43 @@ def test_automorphisms_of_relabelled_import():
             _assert_automorphism(g, phi)
 
 
-def _assert_partition(stream):
-    """Each set is decided exactly once, by itself or by an earlier set that
-    is the least member of its own collection."""
-    sets = [s for s, _d in stream]
-    decided = [t for _s, d in stream for t in d]
-    assert sorted(decided) == sorted(sets) and len(set(sets)) == len(sets)
-    for s, decides in stream:
-        if decides:
-            assert decides[0] == s == min(decides), s
-        if len(s) <= 2:
-            assert list(decides) == [s]
+def _assert_values(g, k, mode, value):
+    """The stream yields every set in enumeration order, each with value(g, s)
+    as a direct call gives it; value runs at most once per set, and on every
+    set of size at most 2. Returns the sets value ran on."""
+    calls = []
+
+    def counting_value(group, s):
+        calls.append(s)
+        return value(group, s)
+
+    stream = list(symmetric_sets_by_orbit(g, k, mode, counting_value))
+    sets = [s for s, _v in stream]
+    assert sets == list(enumerate_symmetric_sets(g, k, mode))
+    assert len(set(calls)) == len(calls)
+    assert {s for s in sets if len(s) <= 2} <= set(calls)
+    for s, v in stream:
+        assert v == value(g, s), s
+    return calls
 
 
-def test_stream_decides_each_set_once_by_an_automorphic_image():
+def test_stream_values_each_set_once_by_an_automorphic_image():
     g = construct("quaternion x cyclic:2")
     autos = list(automorphisms(g))
-    stream = list(symmetric_sets_by_orbit(g, 15, mode="at_most"))
-    assert [s for s, _d in stream] == list(enumerate_symmetric_sets(g, 15, mode="at_most"))
-    _assert_partition(stream)
-    orbits = set()
-    for s, decides in stream:
-        orbit = frozenset(tuple(sorted(phi[x] for x in s)) for phi in autos)
-        orbits.add(orbit)
-        assert set(decides) <= orbit, s
+
+    # A set's whole orbit is invariant under Aut(G), and a value handed on
+    # from anything but an image of the set would differ from it.
+    def orbit(group, s):
+        return frozenset(tuple(sorted(phi[x] for x in s)) for phi in autos)
+
+    calls = _assert_values(g, 15, "at_most", orbit)
+    sets = list(enumerate_symmetric_sets(g, 15, mode="at_most"))
     # 511 sets in 65 orbits under 192 automorphisms. The 12 sets of size at
-    # most 2 (5 orbits) decide themselves, and each of the other 60 orbits
-    # needs at least one decider; orbits may be split, but the stream prunes.
-    assert len(stream) == 511 and len(orbits) == 65 and len(autos) == 192
-    assert 65 - 5 + 12 <= sum(1 for _s, d in stream if d) < 511
+    # most 2 (5 orbits) are valued by their own calls, and each of the other
+    # 60 orbits needs at least one call; orbits may be split, but the stream
+    # prunes.
+    assert len(sets) == 511 and len({orbit(g, s) for s in sets}) == 65 and len(autos) == 192
+    assert 65 - 5 + 12 <= len(calls) < 511
 
 
 @pytest.mark.parametrize(
@@ -179,15 +187,33 @@ def test_c17_rows_match_plain_count():
         assert evidence["groups"][name] == row, name
 
 
-@pytest.mark.parametrize("spec", ("sym:3", "dihedral:12", "cyclic:2 x cyclic:2 x cyclic:2"))
-def test_c17_violations_cover_whole_orbits(monkeypatch, spec):
-    # Listed under the one name C17 does not allow, every integral connected
-    # cubic set of the group is a violation.
-    g = construct(spec)
+def _c17_matches_plain_census(monkeypatch, g):
+    """C17 run on g alone, listed under the one name C17 does not allow, so
+    that every integral connected cubic set of g is a violation: its row and
+    violations must be the plain census. Returns the integral sets."""
     monkeypatch.setattr(integra.verify, "catalog_groups", lambda: [("Q8", g)])
     evidence = integra.verify.run_claim("C17").evidence
     row, integral_sets = plain_cubic_census(g)
-    assert integral_sets
-    _assert_partition(list(symmetric_sets_by_orbit(g, 3)))
     assert evidence["groups"] == {"Q8": row}
     assert evidence["violations"] == [{"group": "Q8", "set": list(s)} for s in integral_sets]
+    return integral_sets
+
+
+@pytest.mark.parametrize("spec", ("sym:3", "dihedral:12", "cyclic:2 x cyclic:2 x cyclic:2"))
+def test_c17_violations_cover_whole_orbits(monkeypatch, spec):
+    g = construct(spec)
+    assert _c17_matches_plain_census(monkeypatch, g)
+    _assert_values(g, 3, "exact", integra.verify._cubic_value)
+
+
+@pytest.mark.parametrize(
+    "spec", ("sym:4", "dihedral:12", "quaternion x cyclic:2", "alt:4 x cyclic:2")
+)
+def test_pruned_scans_on_relabelled_imports_match_plain_scans(monkeypatch, spec):
+    # An imported table binds no generators, so Aut(G) is drawn from
+    # generators that the element orders rank, around an identity off 0.
+    g = from_table(relabelled_document(construct(spec), random.Random(spec))[0])
+    assert g.identity != 0 and g.gens == ()
+    assert in_A_k(g, 3) == plain_scan(g, 3, "A")
+    assert in_G_k(g, 3) == plain_scan(g, 3, "G")
+    _c17_matches_plain_census(monkeypatch, g)
