@@ -5,10 +5,10 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import chain
 from math import gcd
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Iterator
 
 ORDER_BOUND = 500
@@ -58,6 +58,14 @@ class FiniteGroup:
             if nm == name:
                 return idx
         raise ValueError(f"unknown generator {name!r} in {self.label or 'group'}")
+
+    @cached_property
+    def _automorphism_search(self) -> tuple[list[tuple[int, ...]], Iterator[None]]:
+        """The generators of Aut(G) found so far, and the search that finds
+        the rest one step at a time. Kept with the group, so each scan of it
+        resumes where the last one stopped."""
+        found: list[tuple[int, ...]] = []
+        return found, _automorphism_chain(self, found)
 
 
 def _word_name(word: list[str]) -> str:
@@ -548,30 +556,54 @@ def _forced_map(g: FiniteGroup, gens, images) -> list[int] | None:
     return phi
 
 
-def automorphisms(g: FiniteGroup) -> Iterator[tuple[int, ...]]:
-    """Every automorphism of g, lazily, as the tuple of images of 0..order-1.
+def _automorphism_chain(g: FiniteGroup, found: list) -> Iterator[None]:
+    """Append a generating set of Aut(g) to found, pausing after each
+    _forced_map.
 
-    Generators are picked greedily, largest element order first (imported
-    tables bind none); their images range over elements of equal order in
-    index order, and a partial choice is dropped once the map it forces on the
-    generated subgroup is not a well-defined injection.
+    An automorphism keeps each element's order and centralizer size, and is
+    fixed by the images of a generating set. The generators are picked
+    greedily, largest order first, then smallest centralizer (imported
+    tables bind none), and each one's images range over the elements that
+    agree with it in both. Level d, deepest first, seeks automorphisms that
+    fix gens[:d]; those kept at deeper levels fix them too, and by then
+    generate the stabilizer of gens[:d + 1]. So one is kept only when it
+    sends gens[d] outside that generator's orbit under found, and once every
+    candidate image has been tried, found generates the stabilizer of
+    gens[:d]: at d = 0, all of Aut(g). A partial choice of images is dropped
+    once the map it forces on the generated subgroup is not a well-defined
+    injection.
     """
-    orders = element_orders(g)
-    by_order = sorted(range(g.order), key=lambda i: (-orders[i], i))
-    gens = list(_generating_set(g.table, g.identity, by_order))
-    pools = [[y for y in range(g.order) if orders[y] == orders[x]] for x in gens]
+    t = g.table
+    key = [(-o, sum(map(eq, row, col))) for o, row, col in zip(element_orders(g), t, zip(*t))]
+    ranked = sorted(range(g.order), key=lambda i: (key[i], i))
+    gens = list(_generating_set(t, g.identity, ranked))
+    pools = [[y for y in range(g.order) if key[y] == key[x]] for x in gens]
 
-    def extend(images: list[int], phi: list[int]) -> Iterator[tuple[int, ...]]:
-        depth = len(images)
-        if depth == len(gens):
-            yield tuple(phi)
-            return
-        for y in pools[depth]:
-            nxt = _forced_map(g, gens[: depth + 1], images + [y])
-            if nxt is not None:
-                yield from extend(images + [y], nxt)
+    def extend(images: list[int]):
+        phi = _forced_map(g, gens[: len(images)], images)
+        yield
+        if phi is None or len(images) == len(gens):
+            return phi
+        # The next generator lies outside the subgroup phi covers, so its
+        # image lies outside that subgroup's image.
+        taken = set(phi)
+        for y in pools[len(images)]:
+            if y not in taken:
+                nxt = yield from extend(images + [y])
+                if nxt is not None:
+                    return nxt
+        return None
 
-    yield from extend([], _forced_map(g, (), ()))
+    for d in reversed(range(len(gens))):
+        orbit = {gens[d]}
+        for y in pools[d]:
+            if y not in orbit:
+                phi = yield from extend(gens[:d] + [y])
+                if phi is not None:
+                    found.append(tuple(phi))
+                    # Row a of the transposed list holds a's images, so the
+                    # walk from gens[d] is its orbit under found.
+                    orbit = set(_span(tuple(zip(*found)), gens[d], range(len(found))))
 
 
 def element_orders(g: FiniteGroup) -> tuple[int, ...]:

@@ -8,7 +8,7 @@ from math import comb
 from operator import itemgetter
 from typing import Callable, Collection, Iterator, TypeVar
 
-from .groups import FiniteGroup, automorphisms
+from .groups import FiniteGroup
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,9 @@ def enumerate_symmetric_sets(
         yield from _lex_exact(g, size)
 
 
-# Automorphisms drawn each time a set of size at least 3 is valued.
-_DRAWS_PER_VERDICT = 2
+# Steps of the Aut(G) search (each one _forced_map) taken before each value
+# call on a set of size at least 3.
+_SEARCH_STEPS_PER_VALUE = 8
 
 _V = TypeVar("_V")
 
@@ -100,15 +101,14 @@ def symmetric_sets_by_orbit(
     to isomorphism is: Cay(G,S) and Cay(G,phi(S)) are isomorphic for every
     automorphism phi. A set of size at most 2 is valued by its own call (it
     generates a cyclic or dihedral subgroup, so its value is cheap). From
-    size 3 on, finding an automorphism costs about as much as one verdict,
-    so Aut(G) is drawn lazily: each set that no earlier image valued draws
-    _DRAWS_PER_VERDICT more, is valued, and hands its value to its images
-    under all automorphisms drawn so far that come later in the stream.
-    Orbits may be partial, but value runs at most once per set, and listing
-    never costs more than a constant times the values computed.
+    size 3 on, a set that no earlier set handed a value is valued, its orbit
+    is grown breadth-first under the generators of Aut(G) found so far, and
+    every later member gets the value. The group's generator search advances
+    a bounded number of steps before each such call, so value runs at most
+    once per set, and once the search is done, once per orbit.
     """
-    autos = None
-    drawn: list[tuple[int, ...]] = []
+    found: list[tuple[int, ...]] = []
+    search = None
     ahead: dict[tuple[int, ...], _V] = {}
     for s in enumerate_symmetric_sets(g, k, mode):
         if len(s) <= 2:
@@ -116,14 +116,22 @@ def symmetric_sets_by_orbit(
         elif s in ahead:
             yield s, ahead.pop(s)
         else:
-            if autos is None:
-                autos = automorphisms(g)
-            drawn.extend(islice(autos, _DRAWS_PER_VERDICT))
+            if search is None:
+                found, search = g._automorphism_search
+            for _ in islice(search, _SEARCH_STEPS_PER_VALUE):
+                pass
             v = value(g, s)
-            at_s = itemgetter(*s)  # s has at least 3 members: returns a tuple
-            # An image has the size of s, so it comes later exactly when it
+            orbit, todo = {s}, [s]
+            for t in todo:
+                at_t = itemgetter(*t)  # t has at least 3 members: returns a tuple
+                for phi in found:
+                    u = tuple(sorted(at_t(phi)))
+                    if u not in orbit:
+                        orbit.add(u)
+                        todo.append(u)
+            # A member has the size of s, so it comes later exactly when it
             # is lexicographically greater.
-            ahead.update((t, v) for t in {tuple(sorted(at_s(phi))) for phi in drawn} if t > s)
+            ahead.update((t, v) for t in orbit if t > s)
             yield s, v
 
 

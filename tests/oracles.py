@@ -11,8 +11,9 @@ oracle for abelian groups, and the exact atom criterion for them, which
 reaches order 500. The normal-set criterion for unions of conjugacy
 classes in any group. The A_3 criterion and nilpotency as subgroup
 closures: each <x, y> told by its element orders, and the lower central
-series. A plain membership scan that decides every connection set, with no
-automorphism orbits. An associativity check of a table over every triple.
+series. Every automorphism of a small group, each map of a generating set
+to elements of equal orders checked on the whole table. A plain membership
+scan that decides every connection set, with no automorphism orbits. An associativity check of a table over every triple.
 And a random relabelling of a group table, as an imported document would
 carry it.
 """
@@ -350,6 +351,46 @@ def fl_integral(g: FiniteGroup, s) -> bool:
         while res(lam) == 0:
             res = res.divmod_by(IntPolynomial((-lam, 1)))[0]
     return res.degree == 0
+
+
+def automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """Every automorphism of g, as the tuple of images of 0..order-1.
+
+    Each choice of images of equal orders for a generating set taken in
+    index order is extended along the breadth-first words of the elements,
+    and kept when it is a bijection that preserves every product. The work
+    is the product of the generators' pools times order^2, so only small
+    groups are listed.
+    """
+    n, t, e = g.order, g.table, g.identity
+    orders = element_orders(g)
+    gens: list[int] = []
+    reached = {e}
+    for x in range(n):
+        if x not in reached:
+            gens.append(x)
+            reached = set(closure(g, gens))
+    # parent[b] = (a, j) with b = a * gens[j], breadth-first from e.
+    parent: dict[int, tuple[int, int]] = {}
+    walk = [e]
+    for a in walk:
+        for j, x in enumerate(gens):
+            b = t[a][x]
+            if b != e and b not in parent:
+                parent[b] = (a, j)
+                walk.append(b)
+    pools = [[y for y in range(n) if orders[y] == orders[x]] for x in gens]
+    autos = []
+    for images in product(*pools):
+        phi = [e] * n
+        for b in walk[1:]:
+            a, j = parent[b]
+            phi[b] = t[phi[a]][images[j]]
+        if len(set(phi)) == n and all(
+            phi[t[a][b]] == t[phi[a]][phi[b]] for a in range(n) for b in range(n)
+        ):
+            autos.append(tuple(phi))
+    return autos
 
 
 def _plain_verdict(g: FiniteGroup):

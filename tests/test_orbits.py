@@ -1,16 +1,20 @@
 """Automorphism search and the orbit-pruned scans against plain scans."""
 
+import json
 import random
+from dataclasses import replace
 
 import pytest
-from oracles import plain_cubic_census, plain_scan, relabelled_document
+from oracles import automorphisms, plain_cubic_census, plain_scan, relabelled_document
 
 import integra.classify
+import integra.groups
 import integra.spectra
 import integra.symsets
 import integra.verify
 from integra.classify import in_A_k, in_G_k
-from integra.groups import automorphisms, catalog_groups, construct, from_table
+from integra.cli import main
+from integra.groups import catalog_groups, construct, from_table
 from integra.symsets import enumerate_symmetric_sets, symmetric_sets_by_orbit
 
 TEXTBOOK_ORDERS = (
@@ -36,14 +40,39 @@ def _assert_automorphism(g, phi):
             assert phi[row[b]] == img_row[phi[b]]
 
 
+def _generators(g):
+    """The generators of Aut(G) kept with g, its search run to the end."""
+    found, search = g._automorphism_search
+    for _ in search:
+        pass
+    return found
+
+
+def _generated_order(g, perms):
+    """The order of the permutation group that perms generate."""
+    ident = tuple(range(g.order))
+    seen, todo = {ident}, [ident]
+    for a in todo:
+        for p in perms:
+            b = tuple(p[x] for x in a)
+            if b not in seen:
+                seen.add(b)
+                todo.append(b)
+    return len(seen)
+
+
 def test_automorphism_group_orders():
     for spec, expected in TEXTBOOK_ORDERS:
         g = construct(spec)
-        autos = list(automorphisms(g))
+        autos = automorphisms(g)
         assert len(autos) == expected, spec
         assert len(set(autos)) == expected, spec
         assert tuple(range(g.order)) in autos, spec
         for phi in autos:
+            _assert_automorphism(g, phi)
+        gens = _generators(g)
+        assert _generated_order(g, gens) == expected, spec
+        for phi in gens:
             _assert_automorphism(g, phi)
 
 
@@ -53,11 +82,15 @@ def test_automorphisms_of_relabelled_import():
         doc, _new = relabelled_document(construct(spec), rng)
         g = from_table(doc)
         assert g.identity != 0 and g.gens == ()
-        autos = list(automorphisms(g))
+        autos = automorphisms(g)
         assert len(autos) == expected, spec
         assert tuple(range(g.order)) in autos
         for phi in autos:
             assert phi[g.identity] == g.identity
+            _assert_automorphism(g, phi)
+        gens = _generators(g)
+        assert _generated_order(g, gens) == expected, spec
+        for phi in gens:
             _assert_automorphism(g, phi)
 
 
@@ -82,8 +115,9 @@ def _assert_values(g, k, mode, value):
 
 
 def test_stream_values_each_set_once_by_an_automorphic_image():
-    g = construct("quaternion x cyclic:2")
-    autos = list(automorphisms(g))
+    # A fresh copy, so that the first scan meets a search not yet run.
+    g = replace(construct("quaternion x cyclic:2"))
+    autos = automorphisms(g)
 
     # A set's whole orbit is invariant under Aut(G), and a value handed on
     # from anything but an image of the set would differ from it.
@@ -94,10 +128,13 @@ def test_stream_values_each_set_once_by_an_automorphic_image():
     sets = list(enumerate_symmetric_sets(g, 15, mode="at_most"))
     # 511 sets in 65 orbits under 192 automorphisms. The 12 sets of size at
     # most 2 (5 orbits) are valued by their own calls, and each of the other
-    # 60 orbits needs at least one call; orbits may be split, but the stream
-    # prunes.
+    # 60 orbits needs at least one call.
     assert len(sets) == 511 and len({orbit(g, s) for s in sets}) == 65 and len(autos) == 192
     assert 65 - 5 + 12 <= len(calls) < 511
+    # Once the search is done, each orbit of size-3-or-more sets is valued
+    # by one call, its least member's.
+    _generators(g)
+    assert len(_assert_values(g, 15, "at_most", orbit)) == 12 + 60
 
 
 @pytest.mark.parametrize(
@@ -116,43 +153,59 @@ def test_scans_over_large_automorphism_groups_match_plain_scans(spec, cls, k):
     assert rep == plain_scan(g, k, cls)
 
 
-def test_automorphisms_are_drawn_only_as_verdicts_are_made(monkeypatch):
-    # |Aut(Z2xD8xD8)| is 131072, and the witness is the 72nd set.
-    g = construct("cyclic:2 x dihedral:8 x dihedral:8")
-    real_automorphisms, real_is_integral = integra.symsets.automorphisms, integra.classify.is_integral
-    drawn = verdicts = 0
+@pytest.mark.parametrize(
+    ("spec", "witness", "checked"),
+    (
+        # |Aut(Z2xD8xD8)| is 131072, and the witness is the 72nd set.
+        ("cyclic:2 x dihedral:8 x dihedral:8", (2, 3, 4), 72),
+        ("sym:4 x cyclic:3 x cyclic:3", (9, 18, 90), 41),
+        ("sl:2:3 x cyclic:2 x cyclic:2", None, 343),
+    ),
+)
+def test_search_advances_only_as_values_are_computed(monkeypatch, spec, witness, checked):
+    # A fresh copy, so that the search starts from nothing.
+    g = replace(construct(spec))
+    real_forced_map, real_is_integral = integra.groups._forced_map, integra.classify.is_integral
+    forced = verdicts = 0
 
-    def counting_automorphisms(group):
-        nonlocal drawn
-        for phi in real_automorphisms(group):
-            drawn += 1
-            yield phi
+    def counting_forced_map(*args):
+        nonlocal forced
+        forced += 1
+        return real_forced_map(*args)
 
     def counting_is_integral(group, s):
         nonlocal verdicts
         verdicts += 1
         return real_is_integral(group, s)
 
-    monkeypatch.setattr(integra.symsets, "automorphisms", counting_automorphisms)
+    monkeypatch.setattr(integra.groups, "_forced_map", counting_forced_map)
     monkeypatch.setattr(integra.classify, "is_integral", counting_is_integral)
     rep = in_A_k(g, 3)
-    assert (rep.witness, rep.sets_checked) == ((2, 3, 4), 72)
-    assert 0 < verdicts < 72
-    assert 0 < drawn <= 2 * verdicts + 2
+    assert (rep.witness, rep.sets_checked) == (witness, checked)
+    assert 0 < verdicts < checked
+    assert 0 < forced <= integra.symsets._SEARCH_STEPS_PER_VALUE * verdicts
+    assert rep == plain_scan(g, 3, "A")
 
 
-def test_small_scans_never_compute_automorphisms(monkeypatch):
+def test_small_scans_never_compute_automorphisms(monkeypatch, capsys, tmp_path):
     doc, _new = relabelled_document(construct("sym:4 x dihedral:12"), random.Random(288))
     g = from_table(doc)
     assert g.order == 288
 
-    def refuse(_g):
-        raise AssertionError("automorphisms computed for a scan of valency at most 2")
+    def refuse(_g, _found):
+        raise AssertionError("automorphisms sought for a scan of valency at most 2")
 
-    monkeypatch.setattr(integra.symsets, "automorphisms", refuse)
+    monkeypatch.setattr(integra.groups, "_automorphism_chain", refuse)
     for k in (1, 2):
         for rep in (in_A_k(g, k), in_G_k(g, k)):
             assert rep.sets_checked > 0
+    # census at k = 2 on imports of order 72 to 288.
+    rng = random.Random(72)
+    for i, spec in enumerate(("sym:4 x cyclic:3", "sl:2:3 x cyclic:6", "sym:4 x dihedral:12")):
+        doc, _new = relabelled_document(construct(spec), rng)
+        (tmp_path / f"g{i}.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["census", "--dir", str(tmp_path), "--k", "2", "--json"]) in (0, 1)
+    assert len(json.loads(capsys.readouterr().out)) == 6
 
 
 def test_scans_and_c17_never_compute_characteristic_polynomials(monkeypatch):
@@ -210,7 +263,7 @@ def test_c17_violations_cover_whole_orbits(monkeypatch, spec):
     "spec", ("sym:4", "dihedral:12", "quaternion x cyclic:2", "alt:4 x cyclic:2")
 )
 def test_pruned_scans_on_relabelled_imports_match_plain_scans(monkeypatch, spec):
-    # An imported table binds no generators, so Aut(G) is drawn from
+    # An imported table binds no generators, so Aut(G) is searched from
     # generators that the element orders rank, around an identity off 0.
     g = from_table(relabelled_document(construct(spec), random.Random(spec))[0])
     assert g.identity != 0 and g.gens == ()
