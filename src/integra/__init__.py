@@ -16,7 +16,6 @@ from .groups import (
     construct,
     from_table,
     parse_word,
-    recognize_named,
     to_document,
 )
 from .polys import IntPolynomial
@@ -51,7 +50,6 @@ __all__ = [
     "list_claims",
     "nilpotent_g3_case",
     "parse_word",
-    "recognize_named",
     "run_all",
     "run_claim",
     "to_document",

@@ -8,8 +8,8 @@ from .groups import (
     FiniteGroup,
     element_orders,
     involution_products,
+    is_abelian,
     is_nilpotent,
-    recognize_named,
 )
 from .spectra import is_integral
 from .symsets import symmetric_sets_by_orbit
@@ -66,8 +66,9 @@ def a2_structural(g: FiniteGroup) -> bool:
 
 
 def a3_structural(g: FiniteGroup) -> bool:
-    """Either g is S3, or for every involution x and every y: ord(y) is 1, 2,
-    3, 4 or 6 when xy = yx, and 3 otherwise.
+    """Either g is S3, the non-abelian group of order 6, or for every
+    involution x and every y: ord(y) is 1, 2, 3, 4 or 6 when xy = yx, and 3
+    otherwise.
 
     That says every subgroup generated by an involution and one further
     element is Z2, Z2xZ2, Z4, Z6, Z2xZ4, Z2xZ6 or A4. A commuting <x, y> is
@@ -77,7 +78,7 @@ def a3_structural(g: FiniteGroup) -> bool:
     presents the (2,3,3) von Dyck group A4, whose only non-abelian quotient
     is itself.
     """
-    if recognize_named(g, "S3"):
+    if g.order == 6 and not is_abelian(g):
         return True
     orders = element_orders(g)
     t = g.table

@@ -1,9 +1,8 @@
-"""Finite groups as explicit multiplication tables: constructors, invariants, recognition."""
+"""Finite groups as explicit multiplication tables: constructors and invariants."""
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
 from itertools import chain
@@ -634,11 +633,6 @@ def is_nilpotent(g: FiniteGroup) -> bool:
     )
 
 
-def order_statistics(g: FiniteGroup, members) -> dict[int, int]:
-    """How many of the given elements have each element order, by ascending order."""
-    return dict(sorted(Counter(g.element_order(x) for x in members).items()))
-
-
 def involution_products(g: FiniteGroup) -> set[int]:
     """The element orders of x*y over distinct involutions x, y.
 
@@ -650,32 +644,6 @@ def involution_products(g: FiniteGroup) -> set[int]:
     invols = [x for x in range(g.order) if orders[x] == 2]
     t = g.table
     return {orders[t[x][y]] for x in invols for y in invols if x != y}
-
-
-# Each named group's element-order statistics. Below order 16 they decide a
-# group up to isomorphism (Z4xZ4 and Q8xZ2 are the first pair sharing them),
-# so matching them is recognition.
-NAMED_GROUPS: dict[str, dict[int, int]] = {
-    "Z2": {1: 1, 2: 1},
-    "Z4": {1: 1, 2: 1, 4: 2},
-    "Z6": {1: 1, 2: 1, 3: 2, 6: 2},
-    "Z2xZ2": {1: 1, 2: 3},
-    "Z2xZ4": {1: 1, 2: 3, 4: 4},
-    "Z2xZ6": {1: 1, 2: 3, 3: 2, 6: 6},
-    "S3": {1: 1, 2: 3, 3: 2},
-    "D8": {1: 1, 2: 5, 4: 2},
-    "D12": {1: 1, 2: 7, 3: 2, 6: 2},
-    "Q8": {1: 1, 2: 1, 4: 6},
-    "A4": {1: 1, 2: 3, 3: 8},
-}
-
-
-def recognize_named(g: FiniteGroup, name: str) -> bool:
-    """Decide g isomorphic-to the named group by its element-order statistics."""
-    if name not in NAMED_GROUPS:
-        raise ValueError(f"unknown catalog name {name!r}")
-    stats = NAMED_GROUPS[name]
-    return g.order == sum(stats.values()) and order_statistics(g, range(g.order)) == stats
 
 
 def parse_word(g: FiniteGroup, word: str) -> int:

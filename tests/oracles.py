@@ -10,9 +10,10 @@ Z[G] and no code from integra.spectra. A floating-point character-sum
 oracle for abelian groups, and the exact atom criterion for them, which
 reaches order 500. The normal-set criterion for unions of conjugacy
 classes in any group. The A_3 criterion and nilpotency as subgroup
-closures: each <x, y> told by its element orders, and the lower central
-series. Every automorphism of a small group, each map of a generating set
-to elements of equal orders checked on the whole table. A plain membership
+closures: each <x, y> told by its element-order counts against groups
+built from specs, and the lower central series. Every automorphism of a
+small group, each map of a generating set to elements of equal orders
+checked on the whole table. A plain membership
 scan that decides every connection set, with no automorphism orbits. An associativity check of a table over every triple.
 And a random relabelling of a group table, as an imported document would
 carry it.
@@ -21,20 +22,19 @@ carry it.
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from itertools import product
 from math import gcd
 from operator import add
 
 from integra.classify import MembershipReport
 from integra.groups import (
-    NAMED_GROUPS,
     FiniteGroup,
     closure,
+    construct,
     element_orders,
     from_table,
     is_abelian,
-    order_statistics,
-    recognize_named,
 )
 from integra.polys import IntPolynomial
 from integra.spectra import SpectrumReport
@@ -281,17 +281,45 @@ def normal_integral(g: FiniteGroup, s) -> bool:
     return True
 
 
+# A group of each isomorphism type the tests name, built from a spec.
+NAMED_SPECS = {
+    "Z2": "cyclic:2",
+    "Z4": "cyclic:4",
+    "Z6": "cyclic:6",
+    "Z2xZ2": "cyclic:2 x cyclic:2",
+    "Z2xZ4": "cyclic:2 x cyclic:4",
+    "Z2xZ6": "cyclic:2 x cyclic:6",
+    "S3": "sym:3",
+    "D8": "dihedral:8",
+    "D12": "dihedral:12",
+    "Q8": "quaternion",
+    "A4": "alt:4",
+}
+
+
+def order_counts(g: FiniteGroup, members=None) -> Counter:
+    """How many of the members, all of g by default, have each element order.
+
+    Below order 16 these counts decide a group up to isomorphism (Z4xZ4 and
+    Q8xZ2 are the first pair sharing them), so comparing them with a group
+    built from a spec tells which group it is."""
+    return Counter(g.element_order(x) for x in (range(g.order) if members is None else members))
+
+
 def a3_by_subgroups(g: FiniteGroup) -> bool:
     """The A_3 criterion as the paper words it: g is S3, or every subgroup
     generated by an involution and one further element is Z2, Z2xZ2, Z4, Z6,
     Z2xZ4, Z2xZ6 or A4. Each <x, y> is closed and told by its element-order
-    statistics, which below order 16 decide a group up to isomorphism."""
-    if recognize_named(g, "S3"):
+    counts against those of the allowed groups, built from their specs."""
+    if order_counts(g) == order_counts(construct(NAMED_SPECS["S3"])):
         return True
-    allowed = [NAMED_GROUPS[nm] for nm in ("Z2", "Z4", "Z2xZ2", "Z6", "Z2xZ4", "Z2xZ6", "A4")]
+    allowed = [
+        order_counts(construct(NAMED_SPECS[nm]))
+        for nm in ("Z2", "Z4", "Z2xZ2", "Z6", "Z2xZ4", "Z2xZ6", "A4")
+    ]
     orders = element_orders(g)
     return all(
-        order_statistics(g, closure(g, (x, y))) in allowed
+        order_counts(g, closure(g, (x, y))) in allowed
         for x in range(g.order)
         if orders[x] == 2
         for y in range(g.order)

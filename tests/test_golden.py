@@ -16,6 +16,7 @@ import json
 from pathlib import Path
 
 import pytest
+from oracles import NAMED_SPECS, order_counts
 
 from integra.classify import a2_structural, a3_structural, g3_structural, nilpotent_g3_case
 from integra.cli import main
@@ -25,7 +26,6 @@ from integra.groups import (
     cyclic,
     inverting_semidirect,
     involution_products,
-    recognize_named,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -56,7 +56,6 @@ LIBRARY_BUILT = {
 # S3, D8 and D12 are the dihedral groups spanned by two involutions whose
 # product has order 3, 4 and 6.
 SUBGROUP_PRODUCT_ORDERS = {"S3": 3, "D8": 4, "D12": 6}
-RECOGNIZED_NAMES = ("Z2", "Z4", "Z6", "Z2xZ2", "Z2xZ4", "Z2xZ6", "S3", "D8", "D12", "Q8", "A4")
 
 
 def structural_facts(spec: str) -> dict:
@@ -66,6 +65,7 @@ def structural_facts(spec: str) -> dict:
     except ValueError:
         case = "not nilpotent"
     products = involution_products(g)
+    counts = order_counts(g)
     return {
         "spec": spec,
         "a2_structural": a2_structural(g),
@@ -73,7 +73,9 @@ def structural_facts(spec: str) -> dict:
         "g3_structural": g3_structural(g),
         "nilpotent_g3_case": case,
         "has_subgroup_isomorphic": {nm: r in products for nm, r in SUBGROUP_PRODUCT_ORDERS.items()},
-        "recognize_named": {nm: recognize_named(g, nm) for nm in RECOGNIZED_NAMES},
+        "recognize_named": {
+            nm: counts == order_counts(construct(sp)) for nm, sp in NAMED_SPECS.items()
+        },
     }
 
 

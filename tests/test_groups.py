@@ -1,15 +1,14 @@
-"""Group construction, recognition, and serialization tests."""
+"""Group construction, invariants, and serialization tests."""
 
 import random
 import time
 from itertools import combinations
 
 import pytest
-from oracles import is_associative, relabelled_document
+from oracles import NAMED_SPECS, is_associative, order_counts, relabelled_document
 
 import integra.groups
 from integra.groups import (
-    NAMED_GROUPS,
     ORDER_BOUND,
     catalog_groups,
     closure,
@@ -23,19 +22,10 @@ from integra.groups import (
     involution_products,
     is_abelian,
     is_nilpotent,
-    order_statistics,
     parse_word,
     quaternion,
-    recognize_named,
     to_document,
 )
-
-
-def _order_multiset(g):
-    counts = {}
-    for d in element_orders(g):
-        counts[d] = counts.get(d, 0) + 1
-    return counts
 
 
 def test_cyclic_basics():
@@ -72,7 +62,7 @@ def test_dihedral_rejects_odd_order():
 
 def test_quaternion_shape():
     g = quaternion()
-    assert _order_multiset(g) == {1: 1, 2: 1, 4: 6}
+    assert order_counts(g) == {1: 1, 2: 1, 4: 6}
     i, j = g.gen("i"), g.gen("j")
     assert g.mul(i, i) == g.mul(j, j)
 
@@ -109,7 +99,7 @@ def test_heisenberg_is_exponent_three():
 def test_sl23_order_profile():
     g = construct("sl:2:3")
     assert g.order == 24
-    assert _order_multiset(g) == {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}
+    assert order_counts(g) == {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}
 
 
 def test_direct_product_order_and_renaming():
@@ -149,13 +139,13 @@ def test_dicyclic_index_inside_the_base_belongs_to_the_base():
     # is Q8; only the outer "@" is the outer index.
     g = construct("dic(dic(cyclic:2@1)@1)")
     assert g.label == "dic(dic(cyclic:2@1)@1)"
-    assert recognize_named(g, "Q8")
+    assert order_counts(g) == order_counts(quaternion())
 
 
 def test_dicyclic_quaternion_iso():
     g = construct("dic(cyclic:4)")
     assert g.order == 8
-    assert recognize_named(g, "Q8")
+    assert order_counts(g) == order_counts(quaternion())
 
 
 def test_construct_rejects_oversized_groups():
@@ -288,7 +278,7 @@ def test_inverting_semidirect_over_an_imported_table(spec, m):
     h = inverting_semidirect(imported, m)
     ref = inverting_semidirect(built, m)
     assert h.order == ref.order == m * built.order
-    assert _order_multiset(h) == _order_multiset(ref)
+    assert order_counts(h) == order_counts(ref)
 
 
 def test_from_table_rejects_oversized_order_quickly():
@@ -482,33 +472,6 @@ def test_parse_word_errors():
         parse_word(g, "a^x")
 
 
-# A group of each named isomorphism type, built from a spec.
-NAMED_SPECS = {
-    "Z2": "cyclic:2",
-    "Z4": "cyclic:4",
-    "Z6": "cyclic:6",
-    "Z2xZ2": "cyclic:2 x cyclic:2",
-    "Z2xZ4": "cyclic:2 x cyclic:4",
-    "Z2xZ6": "cyclic:2 x cyclic:6",
-    "S3": "sym:3",
-    "D8": "dihedral:8",
-    "D12": "dihedral:12",
-    "Q8": "quaternion",
-    "A4": "alt:4",
-}
-
-
-def test_named_rows_are_statistics_of_built_groups():
-    assert set(NAMED_GROUPS) == set(NAMED_SPECS)
-    for name, stats in NAMED_GROUPS.items():
-        g = construct(NAMED_SPECS[name])
-        assert order_statistics(g, range(g.order)) == stats, name
-
-
-def test_named_orders_are_below_sixteen():
-    assert all(sum(stats.values()) < 16 for stats in NAMED_GROUPS.values())
-
-
 @pytest.mark.parametrize(
     "specs",
     [
@@ -521,31 +484,22 @@ def test_statistics_tell_all_groups_of_an_order_apart(specs):
     # The five isomorphism types of order 8, and the five of order 12.
     groups = [construct(spec) for spec in specs]
     assert len({g.order for g in groups}) == 1
-    stats = [order_statistics(g, range(g.order)) for g in groups]
+    stats = [order_counts(g) for g in groups]
     assert all(a != b for a, b in combinations(stats, 2))
 
 
 def test_statistics_stop_deciding_at_order_sixteen():
     a = construct("cyclic:4 x cyclic:4")
     b = construct("quaternion x cyclic:2")
-    assert order_statistics(a, range(16)) == order_statistics(b, range(16))
+    assert order_counts(a) == order_counts(b)
     assert is_abelian(a) and not is_abelian(b)
-
-
-def test_recognition_on_canonical_instances():
-    for name, spec in NAMED_SPECS.items():
-        assert recognize_named(construct(spec), name), name
-    assert not recognize_named(cyclic(8), "Q8")
-    assert not recognize_named(construct("dihedral:8"), "Q8")
-    with pytest.raises(ValueError, match="unknown catalog name"):
-        recognize_named(construct("sym:4"), "S4")
 
 
 def test_recognition_on_relabelled_imports():
     rng = random.Random(5)
     for name, spec in NAMED_SPECS.items():
-        g = from_table(relabelled_document(construct(spec), rng)[0])
-        assert [nm for nm in NAMED_GROUPS if recognize_named(g, nm)] == [name]
+        counts = order_counts(from_table(relabelled_document(construct(spec), rng)[0]))
+        assert [nm for nm, sp in NAMED_SPECS.items() if counts == order_counts(construct(sp))] == [name]
     s4 = from_table(relabelled_document(construct("sym:4"), rng)[0])
     # S3, D8 and no D12: involution products of order 3 and 4, none of order 6
     assert involution_products(s4) == {2, 3, 4}
@@ -567,8 +521,7 @@ def test_two_involutions_span_a_dihedral_group(spec):
     for x, y in combinations(invols, 2):
         r = orders[g.mul(x, y)]
         members = closure(g, (x, y))
-        dihedral_stats = order_statistics(dihedral(2 * r), range(2 * r))
-        assert order_statistics(g, members) == dihedral_stats, (spec, x, y)
+        assert order_counts(g, members) == order_counts(dihedral(2 * r)), (spec, x, y)
         spans.add(r)
     assert involution_products(g) == spans
 
@@ -596,7 +549,7 @@ def test_profile_facts():
     assert all(q.mul(invols[0], y) == q.mul(y, invols[0]) for y in range(q.order))
     d = construct("dihedral:8 x cyclic:3")
     assert is_nilpotent(d)
-    assert 12 in order_statistics(d, range(d.order))
+    assert 12 in element_orders(d)
     assert is_nilpotent(construct("heisenberg:3"))
     assert not is_nilpotent(construct("sym:4"))
     assert is_nilpotent(cyclic(1))
