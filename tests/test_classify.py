@@ -83,6 +83,21 @@ def test_structural_a3():
     assert not a3_structural(construct("dihedral:12"))
 
 
+# The A_3 criterion's one exception is S3, the non-abelian group of order 6:
+# two of its involutions generate all of it. Groups of order 6 pass, larger
+# groups with such a pair fail, whether built or imported with new labels.
+@pytest.mark.parametrize(
+    "spec",
+    ("sym:3", "dihedral:6", "cyclic:6", "sym:3 x cyclic:2", "sym:3 x cyclic:3", "sym:4"),
+)
+def test_s3_exception_holds_at_order_six_only(spec):
+    built = construct(spec)
+    imported = from_table(relabelled_document(built, random.Random(spec))[0])
+    member = in_A_k(built, 3).member
+    assert a3_structural(built) == a3_structural(imported) == member
+    assert member == (built.order == 6)
+
+
 def test_structural_g3():
     assert g3_structural(construct("heisenberg:3"))
     assert g3_structural(construct("quaternion"))
