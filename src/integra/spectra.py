@@ -68,6 +68,15 @@ def _walk(g: FiniteGroup, sset: tuple[int, ...]) -> tuple[list[int], bool]:
     return at_e, not any(v)
 
 
+def _smaller_side(g: FiniteGroup, sset: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
+    """S, or its complement {x != e : x not in S} of valency n-1-k when that
+    is smaller, and whether it is the complement (Cvetkovic-Doob-Sachs)."""
+    if 2 * len(sset) <= g.order - 1:
+        return sset, False
+    members = set(sset)
+    return tuple(x for x in range(g.order) if x != g.identity and x not in members), True
+
+
 def is_integral(g: FiniteGroup, s) -> bool:
     """Whether Cay(G,S) has an integral spectrum, by 2k+1 walk steps.
 
@@ -77,8 +86,13 @@ def is_integral(g: FiniteGroup, s) -> bool:
     exactly when prod_{lam=-k..k} (sigma - lam) = 0 in Z[G]. The product is
     read off by applying each factor in turn to the identity's indicator;
     is_integral_cayley reads an integral report off the same walk.
+
+    When 2k > n-1 the complement of S in G minus e is walked instead, in
+    2(n-1-k)+1 steps: its adjacency matrix J - I - A has n-1-k on the
+    all-ones vector and -1-mu for every other eigenvalue mu of A, so the two
+    graphs are integral together.
     """
-    return _walk(g, validate_connection_set(g, s))[1]
+    return _walk(g, _smaller_side(g, validate_connection_set(g, s))[0])[1]
 
 
 def _multiplicities(n: int, at_e: list[int]) -> dict[int, int]:
@@ -174,19 +188,24 @@ def is_integral_cayley(g: FiniteGroup, s) -> tuple[bool, SpectrumReport]:
     """Verdict and spectrum report for Cay(G,S).
 
     The set is walked once, as in is_integral, and the verdict picks the
-    report's route.
+    report's route. When 2k > n-1 that walk is of the complement S' of S in
+    G minus e, of valency n-1-k.
 
     Integral: the multiplicities solve the triangular system that the walk's
     2k+1 values at the identity give (_multiplicities). The walk runs over the
     whole graph, so the multiplicities already count every component, and the
     residual is 1. The multiplicity of k is the number of components, which
     is the index [G:H] of the subgroup H that S generates. No polynomial is
-    formed.
+    formed. A walk of S' gives the multiplicities m' of J - I - A, which map
+    back by m(lam) = [lam = k] + m'(-1-lam) - [-1-lam = n-1-k]: the all-ones
+    vector has n-1-k there and k here, and every other eigenvector goes from
+    mu to -1-mu.
 
     Otherwise: Cay(G,S) is [G:H] disjoint copies of Cay(H,S), so the
-    characteristic polynomial (char_poly, on H) is raised to the index and
-    multiplicities scale by the index. Every eigenvalue of a k-regular graph
-    lies in [-k, k]; x - lam is divided out while lam is a root, for each
+    characteristic polynomial (char_poly, on H, of S itself even when S' was
+    walked) is raised to the index and multiplicities scale by the index.
+    Every eigenvalue of a k-regular graph lies in [-k, k]; x - lam is
+    divided out while lam is a root, for each
     integer lam in that range, and what is left is the residual. The value at
     lam, by Horner's rule, is the remainder of that division, so only roots
     are divided out. Cay(H,S) is connected and k-regular, so k is a simple
@@ -194,9 +213,16 @@ def is_integral_cayley(g: FiniteGroup, s) -> tuple[bool, SpectrumReport]:
     """
     sset = validate_connection_set(g, s)
     k = len(sset)
-    at_e, ok = _walk(g, sset)
+    walked, flipped = _smaller_side(g, sset)
+    at_e, ok = _walk(g, walked)
     if ok:
         mults = _multiplicities(g.order, at_e)
+        if flipped:
+            comp, mults = mults, {k: 1}
+            for mu, m in comp.items():
+                mults[-1 - mu] = mults.get(-1 - mu, 0) + m
+            mults[k - g.order] -= 1
+            mults = {lam: m for lam, m in mults.items() if m}
         index = mults[k]
         residual = IntPolynomial((1,))
     else:

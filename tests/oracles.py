@@ -362,9 +362,10 @@ def fl_integral(g: FiniteGroup, s) -> bool:
     coeffs = [1]
     for j in range(1, m + 1):
         product = []
-        for first, *rest in nbrs:
-            row = mat[first]
-            for c in rest:
+        for lst in nbrs:
+            # With S empty, A is zero.
+            row = mat[lst[0]] if lst else [0] * m
+            for c in lst[1:]:
                 row = map(add, row, mat[c])
             product.append(list(row))
         mat = product

@@ -138,6 +138,98 @@ def test_walk_verdict_agrees_on_random_sets_of_every_size():
     assert min(seen.values()) > 0, seen
 
 
+DENSE_SPECS = (
+    "cyclic:2", "cyclic:3", "cyclic:5", "cyclic:7", "cyclic:9", "cyclic:10", "cyclic:11",
+    "cyclic:12", "dihedral:10", "dic(cyclic:6)",
+)
+
+
+def test_complement_route_matches_the_oracles_on_dense_sets():
+    # A symmetric set with 2k > n-1 is decided and reported by a walk of its
+    # complement. On each group of order at most 12, 40 such sets are drawn
+    # (all of them where there are fewer), which keeps D12's 256 sets from
+    # dominating the run time.
+    rng = random.Random("dense sets")
+    groups = [g for _name, g in catalog_groups() if g.order <= 12]
+    groups += [construct(spec) for spec in DENSE_SPECS]
+    seen = {"integral": 0, "non-integral": 0, "walked disconnected": 0}
+    for g in groups:
+        n = g.order
+        sets = [s for k in range((n + 1) // 2, n) for s in enumerate_symmetric_sets(g, k)]
+        for s in rng.sample(sets, min(40, len(sets))):
+            assert 2 * len(s) > n - 1
+            rep = is_integral_cayley(g, s)[1]
+            assert rep == rank_spectrum(g, s), (n, s)
+            assert is_integral(g, s) == fl_integral(g, s) == rep.integral, (n, s)
+            seen["integral" if rep.integral else "non-integral"] += 1
+            complement = [x for x in range(n) if x != g.identity and x not in s]
+            seen["walked disconnected"] += len(closure(g, complement)) < n
+    assert min(seen.values()) > 0, seen
+
+
+def _rows_walked(monkeypatch):
+    """Patch _sigma_step to record len(rows) at each call; returns the record."""
+    step = integra.spectra._sigma_step
+    walked = []
+
+    def counted(rows, *args):
+        walked.append(len(rows))
+        return step(rows, *args)
+
+    monkeypatch.setattr(integra.spectra, "_sigma_step", counted)
+    return walked
+
+
+@pytest.mark.parametrize("spec, s", [
+    ("cyclic:1", ()),
+    ("cyclic:2", (1,)),
+    ("cyclic:9", (1, 2, 7, 8)),
+    ("cyclic:8", (1, 2, 6, 7)),
+    # {0, 1, 2, 3} is the cyclic subgroup of order 4 in Z2xZ4.
+    ("cyclic:2 x cyclic:4", (1, 2, 3)),
+    ("cyclic:2 x cyclic:4", (4, 5, 6, 7)),
+    # The identity is 0 in each of these, so 1..n-1 is the complete graph.
+    ("cyclic:12", tuple(range(1, 12))),
+    ("cyclic:30", tuple(range(1, 30))),
+    ("cyclic:2 x cyclic:2 x cyclic:2 x cyclic:2", tuple(range(1, 16))),
+], ids=[
+    "cyclic:1 empty set, walked as it is",
+    "K2, whose complement is empty",
+    "odd n, 2k = n-1, walked as it is",
+    "even n, 2k = n, complemented",
+    "Z2xZ4 subgroup of order 4 minus e, disconnected, walked as it is",
+    "Z2xZ4 minus that subgroup, connected, its disconnected complement walked",
+    "K12 on Z12",
+    "K30 on Z30",
+    "K16 on Z2^4",
+])
+def test_complement_route_edge_cases(monkeypatch, spec, s):
+    g = construct(spec)
+    n, k = g.order, len(s)
+    walked = _rows_walked(monkeypatch)
+    rep = is_integral_cayley(g, s)[1]
+    assert rep == rank_spectrum(g, s)
+    assert is_integral(g, s) == fl_integral(g, s) == rep.integral
+    assert set(walked) == {k if 2 * k <= n - 1 else n - 1 - k}
+
+
+@pytest.mark.parametrize("s", [tuple(range(1, 240)), tuple(x for x in range(1, 240) if x != 120)],
+                         ids=["K240", "valency n-2"])
+def test_dense_walks_pass_at_most_the_smaller_side(monkeypatch, capsys, s):
+    # No timing: a walk of K240 passes no rows at all, and a valency-238 set
+    # (K240 minus a perfect matching) one row per step.
+    g = construct("cyclic:240")
+    bound = min(len(s), g.order - 1 - len(s))
+    walked = _rows_walked(monkeypatch)
+    assert is_integral(g, s)
+    ok, rep = is_integral_cayley(g, s)
+    assert ok and rep.index == 1
+    indices = ",".join(map(str, s))
+    assert main(["spectrum", "--spec", "cyclic:240", "--set-indices", indices, "--json"]) == 0
+    assert '"integral": true' in capsys.readouterr().out
+    assert walked and max(walked) <= bound
+
+
 def test_disconnected_set_lifts_by_index():
     g = cyclic(12)
     ok, rep = is_integral_cayley(g, (3, 9))
@@ -412,8 +504,11 @@ def test_walk_verdict_matches_the_atom_criterion(spec):
     # atom with more than two elements where the group has one, and dropping
     # an inverse pair from that atom leaves a set that is no union of atoms.
     # Z6^3 has exponent 6, so its atoms are inverse pairs or involutions, and
-    # every Cayley graph over it is integral.
+    # every Cayley graph over it is integral. The complement of each set in
+    # G minus e, of valency at least n-17, is a union of atoms exactly when
+    # the set is, so it has the same verdict.
     g = construct(spec)
+    rest = set(range(g.order)) - {g.identity}
     atoms = _atoms(g)
     rng = random.Random(f"atoms {spec}")
     for _ in range(6):
@@ -426,8 +521,9 @@ def test_walk_verdict_matches_the_atom_criterion(spec):
                 union.update(atom)
         y = rng.choice(big)
         for s, integral in ((union, True), (union - {y, g.inv[y]}, len(big) == 2)):
-            assert atom_integral(g, s) is integral, (spec, sorted(s))
-            assert is_integral(g, s) is integral, (spec, sorted(s))
+            for t in (s, rest - s):
+                assert atom_integral(g, t) is integral, (spec, sorted(t))
+                assert is_integral(g, t) is integral, (spec, sorted(t))
 
 
 NORMAL_SET_SPECS = (
@@ -451,7 +547,8 @@ def _inverse_closed_classes(g):
 
 def test_walk_verdict_on_normal_sets_matches_the_class_rule():
     # Each drawn set is a union of inverse-closed conjugacy classes, of
-    # valency at most 40; both verdicts must occur.
+    # valency at most 40; both verdicts must occur. Its complement in G
+    # minus e is such a union too, and is checked alongside.
     rng = random.Random("normal sets")
     verdicts = []
     for spec in NORMAL_SET_SPECS:
@@ -465,6 +562,8 @@ def test_walk_verdict_on_normal_sets_matches_the_class_rule():
                 integral = is_integral(g, s)
                 assert normal_integral(g, s) is integral, (spec, s)
                 verdicts.append(integral)
+                complement = tuple(x for x in range(g.order) if x != g.identity and x not in s)
+                assert normal_integral(g, complement) is is_integral(g, complement), (spec, complement)
     assert len(verdicts) > 150 and True in verdicts and False in verdicts
     g = construct("sym:3")
     with pytest.raises(ValueError):
