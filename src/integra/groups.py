@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
 from itertools import chain
 from math import gcd
-from operator import eq, itemgetter
+from operator import add, eq, itemgetter
 from typing import Iterator
 
 ORDER_BOUND = 500
@@ -59,12 +60,9 @@ class FiniteGroup:
         raise ValueError(f"unknown generator {name!r} in {self.label or 'group'}")
 
     @cached_property
-    def _automorphism_search(self) -> tuple[list[tuple[int, ...]], Iterator[None]]:
-        """The generators of Aut(G) found so far, and the search that finds
-        the rest one step at a time. Kept with the group, so each scan of it
-        resumes where the last one stopped."""
-        found: list[tuple[int, ...]] = []
-        return found, _automorphism_chain(self, found)
+    def _aut_generators(self) -> tuple[tuple[int, ...], ...]:
+        """A generating set of Aut(G), searched for once per group object."""
+        return _automorphism_generators(self)
 
 
 def _word_name(word: list[str]) -> str:
@@ -555,54 +553,67 @@ def _forced_map(g: FiniteGroup, gens, images) -> list[int] | None:
     return phi
 
 
-def _automorphism_chain(g: FiniteGroup, found: list) -> Iterator[None]:
-    """Append a generating set of Aut(g) to found, pausing after each
-    _forced_map.
+def _cell_ids(keys) -> list[int]:
+    """Each key's rank among the distinct keys: equal keys share an id."""
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return [rank[k] for k in keys]
 
-    An automorphism keeps each element's order and centralizer size, and is
-    fixed by the images of a generating set. The generators are picked
-    greedily, largest order first, then smallest centralizer (imported
-    tables bind none), and each one's images range over the elements that
-    agree with it in both. Level d, deepest first, seeks automorphisms that
-    fix gens[:d]; those kept at deeper levels fix them too, and by then
-    generate the stabilizer of gens[:d + 1]. So one is kept only when it
-    sends gens[d] outside that generator's orbit under found, and once every
-    candidate image has been tried, found generates the stabilizer of
+
+def _automorphism_generators(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """A generating set of Aut(g), by a stabilizer chain.
+
+    An automorphism keeps each element's cell: its order and centralizer
+    size, refined once by the multiset of (cell of y, cell of x*y) over y.
+    The ids rank cells by signature, largest order first, so an imported
+    table gets the same cells. The generators are taken in cell order from
+    outside the subgroup that the ones before generate, first any that fails
+    to commute with one before, so a wrong image is refuted at the next
+    generator, not the last. Each one's images range over its cell. Level
+    d, deepest first, seeks automorphisms that fix gens[:d]; those kept
+    deeper fix them too, and by then generate the stabilizer of gens[:d + 1].
+    So one is kept only when it sends gens[d] outside its orbit under found,
+    and once every image has been tried, found generates the stabilizer of
     gens[:d]: at d = 0, all of Aut(g). A partial choice of images is dropped
     once the map it forces on the generated subgroup is not a well-defined
     injection.
     """
-    t = g.table
-    key = [(-o, sum(map(eq, row, col))) for o, row, col in zip(element_orders(g), t, zip(*t))]
-    ranked = sorted(range(g.order), key=lambda i: (key[i], i))
-    gens = list(_generating_set(t, g.identity, ranked))
-    pools = [[y for y in range(g.order) if key[y] == key[x]] for x in gens]
+    t, n, e = g.table, g.order, g.identity
+    cell = _cell_ids([(-o, sum(map(eq, r, c))) for o, r, c in zip(element_orders(g), t, zip(*t))])
+    high = [c * n for c in cell]  # (cell of y, cell of x*y) as one integer
+    cell = _cell_ids(
+        [(c, tuple(sorted(Counter(map(add, high, map(cell.__getitem__, row))).items())))
+         for c, row in zip(cell, t)]
+    )
+    ranked = sorted(range(n), key=lambda x: (cell[x], x))
+    gens, reached = [], {e}
+    while len(reached) < n:
+        rest = [x for x in ranked if x not in reached]
+        gens.append(next((x for x in rest if any(t[x][a] != t[a][x] for a in gens)), rest[0]))
+        reached = set(_span(t, e, gens))
+    pools = [[y for y in range(n) if cell[y] == cell[x]] for x in gens]
+    found: list[tuple[int, ...]] = []
 
     def extend(images: list[int]):
         phi = _forced_map(g, gens[: len(images)], images)
-        yield
         if phi is None or len(images) == len(gens):
             return phi
         # The next generator lies outside the subgroup phi covers, so its
         # image lies outside that subgroup's image.
         taken = set(phi)
-        for y in pools[len(images)]:
-            if y not in taken:
-                nxt = yield from extend(images + [y])
-                if nxt is not None:
-                    return nxt
-        return None
+        tries = (extend(images + [y]) for y in pools[len(images)] if y not in taken)
+        return next((m for m in tries if m is not None), None)
 
     for d in reversed(range(len(gens))):
         orbit = {gens[d]}
         for y in pools[d]:
             if y not in orbit:
-                phi = yield from extend(gens[:d] + [y])
+                phi = extend(gens[:d] + [y])
                 if phi is not None:
                     found.append(tuple(phi))
                     # Row a of the transposed list holds a's images, so the
                     # walk from gens[d] is its orbit under found.
                     orbit = set(_span(tuple(zip(*found)), gens[d], range(len(found))))
+    return tuple(found)
 
 
 def element_orders(g: FiniteGroup) -> tuple[int, ...]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from math import comb
 from operator import itemgetter
 from typing import Callable, Collection, Iterator, TypeVar
@@ -85,10 +84,6 @@ def enumerate_symmetric_sets(
         yield from _lex_exact(g, size)
 
 
-# Steps of the Aut(G) search (each one _forced_map) taken before each value
-# call on a set of size at least 3.
-_SEARCH_STEPS_PER_VALUE = 8
-
 _V = TypeVar("_V")
 
 
@@ -102,13 +97,9 @@ def symmetric_sets_by_orbit(
     automorphism phi. A set of size at most 2 is valued by its own call (it
     generates a cyclic or dihedral subgroup, so its value is cheap). From
     size 3 on, a set that no earlier set handed a value is valued, its orbit
-    is grown breadth-first under the generators of Aut(G) found so far, and
-    every later member gets the value. The group's generator search advances
-    a bounded number of steps before each such call, so value runs at most
-    once per set, and once the search is done, once per orbit.
+    is grown breadth-first under generators of Aut(G), kept with the group,
+    and every later member gets the value: value runs once per orbit.
     """
-    found: list[tuple[int, ...]] = []
-    search = None
     ahead: dict[tuple[int, ...], _V] = {}
     for s in enumerate_symmetric_sets(g, k, mode):
         if len(s) <= 2:
@@ -116,15 +107,11 @@ def symmetric_sets_by_orbit(
         elif s in ahead:
             yield s, ahead.pop(s)
         else:
-            if search is None:
-                found, search = g._automorphism_search
-            for _ in islice(search, _SEARCH_STEPS_PER_VALUE):
-                pass
             v = value(g, s)
             orbit, todo = {s}, [s]
             for t in todo:
                 at_t = itemgetter(*t)  # t has at least 3 members: returns a tuple
-                for phi in found:
+                for phi in g._aut_generators:
                     u = tuple(sorted(at_t(phi)))
                     if u not in orbit:
                         orbit.add(u)

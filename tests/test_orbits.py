@@ -16,6 +16,7 @@ from integra.classify import in_A_k, in_G_k
 from integra.cli import main
 from integra.groups import catalog_groups, construct, from_table
 from integra.symsets import enumerate_symmetric_sets, symmetric_sets_by_orbit
+from test_classify import SWEPT_SPECS, _swept
 
 TEXTBOOK_ORDERS = (
     ("cyclic:12", 4),
@@ -40,14 +41,6 @@ def _assert_automorphism(g, phi):
             assert phi[row[b]] == img_row[phi[b]]
 
 
-def _generators(g):
-    """The generators of Aut(G) kept with g, its search run to the end."""
-    found, search = g._automorphism_search
-    for _ in search:
-        pass
-    return found
-
-
 def _generated_order(g, perms):
     """The order of the permutation group that perms generate."""
     ident = tuple(range(g.order))
@@ -70,7 +63,7 @@ def test_automorphism_group_orders():
         assert tuple(range(g.order)) in autos, spec
         for phi in autos:
             _assert_automorphism(g, phi)
-        gens = _generators(g)
+        gens = g._aut_generators
         assert _generated_order(g, gens) == expected, spec
         for phi in gens:
             _assert_automorphism(g, phi)
@@ -88,7 +81,7 @@ def test_automorphisms_of_relabelled_import():
         for phi in autos:
             assert phi[g.identity] == g.identity
             _assert_automorphism(g, phi)
-        gens = _generators(g)
+        gens = g._aut_generators
         assert _generated_order(g, gens) == expected, spec
         for phi in gens:
             _assert_automorphism(g, phi)
@@ -114,7 +107,7 @@ def _assert_values(g, k, mode, value):
     return calls
 
 
-def test_stream_values_each_set_once_by_an_automorphic_image():
+def test_stream_values_each_set_once_by_an_automorphic_image(monkeypatch):
     # A fresh copy, so that the first scan meets a search not yet run.
     g = replace(construct("quaternion x cyclic:2"))
     autos = automorphisms(g)
@@ -128,13 +121,21 @@ def test_stream_values_each_set_once_by_an_automorphic_image():
     sets = list(enumerate_symmetric_sets(g, 15, mode="at_most"))
     # 511 sets in 65 orbits under 192 automorphisms. The 12 sets of size at
     # most 2 (5 orbits) are valued by their own calls, and each of the other
-    # 60 orbits needs at least one call.
+    # 60 orbits by one call, its least member's, from the first scan on.
     assert len(sets) == 511 and len({orbit(g, s) for s in sets}) == 65 and len(autos) == 192
-    assert 65 - 5 + 12 <= len(calls) < 511
-    # Once the search is done, each orbit of size-3-or-more sets is valued
-    # by one call, its least member's.
-    _generators(g)
+    assert len(calls) == 12 + 60
     assert len(_assert_values(g, 15, "at_most", orbit)) == 12 + 60
+    # So does the first G_15 scan of another fresh copy: Q8xZ2 is in G_15,
+    # so the scan visits every set.
+    real_is_integral, verdicts = integra.classify.is_integral, []
+
+    def counting_is_integral(group, s):
+        verdicts.append(s)
+        return real_is_integral(group, s)
+
+    monkeypatch.setattr(integra.classify, "is_integral", counting_is_integral)
+    rep = in_G_k(replace(g), 15)
+    assert rep.member and rep.sets_checked == 511 and len(verdicts) == 12 + 60
 
 
 @pytest.mark.parametrize(
@@ -145,8 +146,8 @@ def test_stream_values_each_set_once_by_an_automorphic_image():
         ("cyclic:2 x cyclic:2 x cyclic:2 x cyclic:2 x cyclic:2", "A", 3),
         ("cyclic:2 x dihedral:8 x dihedral:8", "A", 3),
         ("quaternion x cyclic:2 x cyclic:2", "G", 5),
-        # Its Aut(G) search does not finish, so the scan runs on the
-        # generators found so far.
+        # Its Aut(G) search finishes only with refined cells and generators
+        # chosen relation-first.
         ("heisenberg:3 x cyclic:3 x cyclic:3", "G", 4),
     ),
 )
@@ -165,7 +166,7 @@ def test_scans_over_large_automorphism_groups_match_plain_scans(spec, cls, k):
         ("sl:2:3 x cyclic:2 x cyclic:2", None, 343),
     ),
 )
-def test_search_advances_only_as_values_are_computed(monkeypatch, spec, witness, checked):
+def test_search_runs_once_per_group_object(monkeypatch, spec, witness, checked):
     # A fresh copy, so that the search starts from nothing.
     g = replace(construct(spec))
     real_forced_map, real_is_integral = integra.groups._forced_map, integra.classify.is_integral
@@ -186,8 +187,50 @@ def test_search_advances_only_as_values_are_computed(monkeypatch, spec, witness,
     rep = in_A_k(g, 3)
     assert (rep.witness, rep.sets_checked) == (witness, checked)
     assert 0 < verdicts < checked
-    assert 0 < forced <= integra.symsets._SEARCH_STEPS_PER_VALUE * verdicts
+    assert forced > 0
     assert rep == plain_scan(g, 3, "A")
+    # A second scan of the same group object reuses the kept generators.
+    forced = 0
+    assert in_A_k(g, 3) == rep and forced == 0
+
+
+# The most _forced_map calls one Aut(G) search may make. The most any swept
+# group takes is 2436, on the relabelled import of D12 x Heisenberg.
+SEARCH_BUDGET = 5000
+
+# Before cells were refined and generators chosen relation-first, the search
+# took over 30000 steps on each of these.
+STALLED = (
+    ("heisenberg:3 x cyclic:3 x cyclic:3", False),
+    ("cyclic:2 x dihedral:8 x dihedral:8", True),
+    ("dic(cyclic:6) x sl:2:3", False),
+)
+
+
+@pytest.mark.parametrize(
+    ("spec", "imported"),
+    STALLED
+    + tuple(
+        (spec, imp) for spec in SWEPT_SPECS for imp in (False, True)
+        if (spec, imp) not in STALLED
+    ),
+)
+def test_search_finishes_within_budget(monkeypatch, spec, imported):
+    g = _swept(spec)
+    if imported:
+        g = from_table(relabelled_document(g, random.Random(spec))[0])
+    real_forced_map, forced = integra.groups._forced_map, 0
+
+    def counting_forced_map(*args):
+        nonlocal forced
+        forced += 1
+        return real_forced_map(*args)
+
+    monkeypatch.setattr(integra.groups, "_forced_map", counting_forced_map)
+    # The function itself, not the group's kept result: another test may
+    # have run the search on this group object already.
+    integra.groups._automorphism_generators(g)
+    assert 0 < forced <= SEARCH_BUDGET
 
 
 def test_small_scans_never_compute_automorphisms(monkeypatch, capsys, tmp_path):
@@ -195,10 +238,10 @@ def test_small_scans_never_compute_automorphisms(monkeypatch, capsys, tmp_path):
     g = from_table(doc)
     assert g.order == 288
 
-    def refuse(_g, _found):
+    def refuse(_g):
         raise AssertionError("automorphisms sought for a scan of valency at most 2")
 
-    monkeypatch.setattr(integra.groups, "_automorphism_chain", refuse)
+    monkeypatch.setattr(integra.groups, "_automorphism_generators", refuse)
     for k in (1, 2):
         for rep in (in_A_k(g, k), in_G_k(g, k)):
             assert rep.sets_checked > 0
