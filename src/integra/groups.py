@@ -508,16 +508,17 @@ def _span(table, identity, gens) -> list[int]:
 
 
 def _generating_set(table, identity, candidates) -> Iterator[int]:
-    """The candidates, in their order, that the ones yielded before do not
-    reach by _span. Each is yielded before the walk goes on, so a caller
-    checking it can stop there."""
+    """Candidates that the ones yielded before do not reach by _span: each
+    time the first such that fails to commute with one yielded before, if
+    any does, else the first such. Each is yielded before the walk goes on,
+    so a caller checking it can stop there."""
     gens: list[int] = []
     reached = {identity}
-    for x in candidates:
-        if x not in reached:
-            yield x
-            gens.append(x)
-            reached = set(_span(table, identity, gens))
+    while rest := [x for x in candidates if x not in reached]:
+        x = next((x for x in rest if any(table[x][a] != table[a][x] for a in gens)), rest[0])
+        yield x
+        gens.append(x)
+        reached = set(_span(table, identity, gens))
 
 
 def closure(g: FiniteGroup, gens) -> tuple[int, ...]:
@@ -565,10 +566,10 @@ def _automorphism_generators(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     An automorphism keeps each element's cell: its order and centralizer
     size, refined once by the multiset of (cell of y, cell of x*y) over y.
     The ids rank cells by signature, largest order first, so an imported
-    table gets the same cells. The generators are taken in cell order from
-    outside the subgroup that the ones before generate, first any that fails
-    to commute with one before, so a wrong image is refuted at the next
-    generator, not the last. Each one's images range over its cell. Level
+    table gets the same cells. The generators are _generating_set's picks
+    from the elements in cell order, so one that fails to commute with one
+    before comes first and a wrong image is refuted at the next generator,
+    not the last. Each one's images range over its cell. Level
     d, deepest first, seeks automorphisms that fix gens[:d]; those kept
     deeper fix them too, and by then generate the stabilizer of gens[:d + 1].
     So one is kept only when it sends gens[d] outside its orbit under found,
@@ -584,12 +585,7 @@ def _automorphism_generators(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
         [(c, tuple(sorted(Counter(map(add, high, map(cell.__getitem__, row))).items())))
          for c, row in zip(cell, t)]
     )
-    ranked = sorted(range(n), key=lambda x: (cell[x], x))
-    gens, reached = [], {e}
-    while len(reached) < n:
-        rest = [x for x in ranked if x not in reached]
-        gens.append(next((x for x in rest if any(t[x][a] != t[a][x] for a in gens)), rest[0]))
-        reached = set(_span(t, e, gens))
+    gens = list(_generating_set(t, e, sorted(range(n), key=lambda x: (cell[x], x))))
     pools = [[y for y in range(n) if cell[y] == cell[x]] for x in gens]
     found: list[tuple[int, ...]] = []
 

@@ -96,9 +96,13 @@ def symmetric_sets_by_orbit(
     to isomorphism is: Cay(G,S) and Cay(G,phi(S)) are isomorphic for every
     automorphism phi. A set of size at most 2 is valued by its own call (it
     generates a cyclic or dihedral subgroup, so its value is cheap). From
-    size 3 on, a set that no earlier set handed a value is valued, its orbit
-    is grown breadth-first under generators of Aut(G), kept with the group,
-    and every later member gets the value: value runs once per orbit.
+    size 3 on, a set that no earlier set handed a value is valued, and its
+    orbit is grown breadth-first under generators of Aut(G), kept with the
+    group, straight into the table of handed-on values: value runs once per
+    orbit. Such a set is the least member of its orbit, since an earlier
+    member would have handed it the value, so every other member comes
+    later; orbits are disjoint, so an entry already in the table from
+    another orbit is never an image.
     """
     ahead: dict[tuple[int, ...], _V] = {}
     for s in enumerate_symmetric_sets(g, k, mode):
@@ -107,19 +111,16 @@ def symmetric_sets_by_orbit(
         elif s in ahead:
             yield s, ahead.pop(s)
         else:
-            v = value(g, s)
-            orbit, todo = {s}, [s]
+            v = ahead[s] = value(g, s)
+            todo = [s]
             for t in todo:
                 at_t = itemgetter(*t)  # t has at least 3 members: returns a tuple
                 for phi in g._aut_generators:
                     u = tuple(sorted(at_t(phi)))
-                    if u not in orbit:
-                        orbit.add(u)
+                    if u not in ahead:
+                        ahead[u] = v
                         todo.append(u)
-            # A member has the size of s, so it comes later exactly when it
-            # is lexicographically greater.
-            ahead.update((t, v) for t in orbit if t > s)
-            yield s, v
+            yield s, ahead.pop(s)
 
 
 def count_symmetric_sets(g: FiniteGroup, k: int, mode: str = "exact") -> int:

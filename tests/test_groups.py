@@ -424,6 +424,30 @@ def test_greedy_generating_sets_are_short_and_generate():
         assert len(closure(g, gens)) == g.order, g.label
 
 
+@pytest.mark.parametrize("spec", ["sym:4", "cyclic:2 x cyclic:4 x cyclic:6"])
+@pytest.mark.parametrize("imported", [False, True])
+def test_generating_set_picks_one_that_fails_to_commute_first(spec, imported):
+    # Light's test and the Aut(G) search share one rule: each pick is the
+    # first unreached candidate that fails to commute with an earlier pick,
+    # if any unreached one does, else the first unreached candidate. On an
+    # abelian group that is the plain index-order pick.
+    g = construct(spec)
+    if imported:
+        # Under this relabelling of sym:4 the next unreached candidate in
+        # index order after the first pick commutes with it, while a later
+        # one does not.
+        g = from_table(relabelled_document(g, random.Random(37))[0])
+    t = g.table
+    gens = []
+    for x in integra.groups._generating_set(t, g.identity, range(g.order)):
+        reached = closure(g, gens)
+        rest = [y for y in range(g.order) if y not in reached]
+        clash = [y for y in rest if any(t[y][a] != t[a][y] for a in gens)]
+        assert x == (clash or rest)[0]
+        gens.append(x)
+    assert len(closure(g, gens)) == g.order
+
+
 def test_closure_in_symmetric_group():
     g = construct("sym:4")
     orders = element_orders(g)
