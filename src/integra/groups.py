@@ -486,9 +486,9 @@ def from_table(doc: dict, label: str = "imported") -> FiniteGroup:
         names = ["e" if i == ident else f"g{i}" for i in range(n)]
     if not isinstance(names, list) or len(names) != n:
         raise ValueError("names length does not match order")
-    return FiniteGroup(
-        n, ident, tuple(rows), inv, tuple(str(x) for x in names), (), label
-    )
+    if set(map(type, names)) != {str}:
+        raise ValueError("element names must be strings")
+    return FiniteGroup(n, ident, tuple(rows), inv, tuple(names), (), label)
 
 
 def _span(table, identity, gens) -> list[int]:

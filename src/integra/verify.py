@@ -453,20 +453,7 @@ def run_claim(claim_id: str) -> ClaimResult:
     return ClaimResult(claim_id, passed, evidence, time.monotonic() - start)
 
 
-@dataclass
-class VerifySummary:
-    """Aggregate outcome of a filtered claim run."""
-
-    results: list[ClaimResult]
-    passed: int
-    failed: int
-
-    @property
-    def ok(self) -> bool:
-        return self.failed == 0
-
-
-def run_all(claim_filter: str | None = None) -> VerifySummary:
+def run_all(claim_filter: str | None = None) -> list[ClaimResult]:
     """Run every claim whose id matches the filter exactly, else by prefix."""
     if claim_filter is None:
         chosen = list(_CLAIMS)
@@ -474,11 +461,4 @@ def run_all(claim_filter: str | None = None) -> VerifySummary:
         chosen = [claim_filter]
     else:
         chosen = [i for i in _CLAIMS if i.startswith(claim_filter)]
-    results = [run_claim(i) for i in chosen]
-    good = sum(1 for r in results if r.passed)
-    return VerifySummary(results, good, len(results) - good)
-
-
-def result_to_dict(res: ClaimResult) -> dict:
-    """Canonical JSON form of one result; elapsed time is excluded on purpose."""
-    return {"id": res.id, "passed": res.passed, "evidence": res.evidence}
+    return [run_claim(i) for i in chosen]

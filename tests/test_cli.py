@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from oracles import order_counts
 
+from integra import verify
 from integra.cli import main
 from integra.groups import construct, from_table, to_document
 
@@ -179,6 +180,23 @@ def test_verify_unknown_claim(capsys):
 def test_verify_requires_selector(capsys):
     with pytest.raises(SystemExit):
         main(["verify"])
+
+
+def test_verify_reports_a_failing_claim(capsys, monkeypatch):
+    # C1's body is swapped for one that fails; the other 16 claims run as usual.
+    claim, _body = verify._CLAIMS["C1"]
+    monkeypatch.setitem(verify._CLAIMS, "C1", (claim, lambda: (False, {"forced": True})))
+    golden = json.loads((Path(__file__).parent / "data" / "verify_all.json").read_text())
+    code, out, err = run_cli(capsys, "verify", "--all", "--json")
+    assert (code, err) == (1, "")
+    failed = {"id": "C1", "passed": False, "evidence": {"forced": True}}
+    assert json.loads(out) == [failed] + golden[1:]
+    code, _out, err = run_cli(capsys, "verify", "--all")
+    lines = err.splitlines()
+    assert code == 1
+    assert re.fullmatch(r"C1   FAIL +\d+\.\d\ds  .+", lines[0])
+    assert all(" PASS " in line for line in lines[1:17])
+    assert lines[17:] == ["16/17 claims passed"]
 
 
 def test_census_directory(capsys, tmp_path):

@@ -36,6 +36,17 @@ SPECS = (
     "sl:2:3",
 )
 FOREIGN = "#$%?!&~[]{}<>|\\\"'`"
+# Specs that parse but name no group, each with the message it exits with.
+SPEC_ERRORS = {
+    "sym:1": "symmetric group needs at least 2 points",
+    "alt:2": "alternating group needs at least 3 points",
+    "dic(sym:3)": "dicyclic base must be abelian",
+    "dic(cyclic:2 x cyclic:126)": "group order exceeds 500",
+    "perm:3:(1,1)": "repeated point in cycle (1,1)",
+    "perm:3:(1,4)": "cycle (1,4) leaves points 1..3",
+    "perm:3:(1,2);": "empty permutation generator",
+    "cyclic:4)": "unbalanced parentheses in 'cyclic:4)'",
+}
 DOC_SPECS = ("cyclic:6", "sym:3", "quaternion", "dihedral:12")
 SPECTRUM_GROUP = "dihedral:8"
 
@@ -70,6 +81,7 @@ def _garbled_specs(rng):
         "dic(cyclic:4@99)",
         "dic(cyclic:3)",
         "dihedral:7",
+        *SPEC_ERRORS,
     ]
     return out
 
@@ -107,6 +119,9 @@ def _bad_documents(rng):
            {"format": "ftg-1", "order": 1, "identity": False, "table": [[0]]},
            {"format": "ftg-1", "order": 1, "identity": 0, "table": [[False]]},
            {"format": "ftg-1", "order": 2, "identity": 0, "table": [[0, True], [True, 0]]}]
+    # Element names are strings: null, numbers and lists are not read as their str().
+    z2 = {"format": "ftg-1", "order": 2, "identity": 0, "table": [[0, 1], [1, 0]]}
+    out += [{**z2, "names": names} for names in (["e", None], ["e", 7], [["e"], "a"], [True, "a"])]
     for spec in DOC_SPECS:
         base = to_document(construct(spec))
         out.extend(wrong(copy.deepcopy(base), base["order"]) for _ in range(8))
@@ -158,6 +173,12 @@ def test_a_second_involution_index_is_a_bad_index(capsys):
         assert capsys.readouterr().err == f"error: bad involution index in {spec!r}\n"
 
 
+def test_spec_errors_name_their_fault(capsys):
+    for spec, message in SPEC_ERRORS.items():
+        assert main(["construct", "--spec", spec]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_malformed_documents_exit_two(capsys, tmp_path):
     rng = random.Random(SEED + 1)
     for i, doc in enumerate(_bad_documents(rng)):
@@ -168,6 +189,16 @@ def test_malformed_documents_exit_two(capsys, tmp_path):
         _run(capsys, ["spectrum", "--file", str(path), "--set-indices", "1"])
         _run(capsys, ["classify", "--file", str(path), "--class", "A", "--k", "2"])
         _run(capsys, ["census", "--dir", str(case), "--k", "2"])
+
+
+def test_element_names_must_be_strings(capsys, tmp_path):
+    doc = {"format": "ftg-1", "order": 2, "identity": 0, "table": [[0, 1], [1, 0]]}
+    assert from_table({**doc, "names": None}).names == ("e", "g1")
+    assert from_table({**doc, "names": ["e", "7"]}).names == ("e", "7")
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({**doc, "names": ["e", None]}))
+    assert main(["spectrum", "--file", str(path), "--set-indices", "1"]) == 2
+    assert capsys.readouterr().err == "error: element names must be strings\n"
 
 
 def test_null_identity_reads_as_an_absent_key(capsys, tmp_path):
