@@ -20,7 +20,7 @@ from .groups import (
 )
 from .polys import IntPolynomial
 from .spectra import SpectrumReport, char_poly, is_integral, is_integral_cayley
-from .symsets import count_symmetric_sets, enumerate_symmetric_sets, inverse_partition
+from .symsets import count_symmetric_sets, enumerate_symmetric_sets
 from .verify import Claim, ClaimResult, list_claims, run_all, run_claim
 
 __version__ = "0.1.0"
@@ -44,7 +44,6 @@ __all__ = [
     "g3_structural",
     "in_A_k",
     "in_G_k",
-    "inverse_partition",
     "is_integral",
     "is_integral_cayley",
     "list_claims",

@@ -348,6 +348,12 @@ def perm_group(n: int, perms: list[tuple[int, ...]], label: str) -> FiniteGroup:
     return _build(ident, gens, _pmul, label, name_of=_cycle_name)
 
 
+# The most factors a product spec may hold and the deepest its parentheses
+# may nest. A product of order at most ORDER_BOUND has at most 8 nontrivial
+# factors, and each factor costs direct_product a pass over the generators.
+_SPEC_LIMIT = 32
+
+
 def _split_terms(spec: str, sep: str) -> list[str]:
     """spec cut at each sep outside parentheses, the pieces stripped."""
     terms = []
@@ -356,8 +362,8 @@ def _split_terms(spec: str, sep: str) -> list[str]:
     for ch in spec:
         if ch == "(":
             depth += 1
-            if depth > 32:
-                raise ValueError("spec nested deeper than 32 levels")
+            if depth > _SPEC_LIMIT:
+                raise ValueError(f"spec nested deeper than {_SPEC_LIMIT} levels")
         elif ch == ")":
             depth -= 1
             if depth < 0:
@@ -419,6 +425,8 @@ def construct(spec: str) -> FiniteGroup:
     terms = _split_terms(spec, "x")
     if any(not t for t in terms):
         raise ValueError(f"cannot parse group spec {spec!r}")
+    if len(terms) > _SPEC_LIMIT:
+        raise ValueError(f"spec has more than {_SPEC_LIMIT} factors")
     return reduce(direct_product, (_construct_term(t) for t in terms))
 
 
@@ -488,6 +496,8 @@ def from_table(doc: dict, label: str = "imported") -> FiniteGroup:
         raise ValueError("names length does not match order")
     if set(map(type, names)) != {str}:
         raise ValueError("element names must be strings")
+    if len(set(names)) != n:
+        raise ValueError("element names must be distinct")
     return FiniteGroup(n, ident, tuple(rows), inv, tuple(names), (), label)
 
 

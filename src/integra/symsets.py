@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
 from typing import Callable, Collection, Iterator, TypeVar
@@ -10,58 +9,15 @@ from typing import Callable, Collection, Iterator, TypeVar
 from .groups import FiniteGroup
 
 
-@dataclass(frozen=True)
-class InversePartition:
-    """Non-identity elements split into involutions and inverse pairs (lo < hi)."""
-
-    involutions: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]
-
-
-def inverse_partition(g: FiniteGroup) -> InversePartition:
-    invols = []
-    pairs = []
-    for i in range(g.order):
-        if i == g.identity:
-            continue
-        j = g.inv[i]
-        if j == i:
-            invols.append(i)
-        elif i < j:
-            pairs.append((i, j))
-    return InversePartition(tuple(invols), tuple(pairs))
-
-
-def _lex_exact(g: FiniteGroup, size: int) -> Iterator[tuple[int, ...]]:
-    """All symmetric size-k sets in lexicographic order of their sorted members.
-
-    A symmetric set is a union of atoms: involutions (x,) and inverse pairs
-    (lo, hi). Atoms are taken in order of their least member. Two sets first
-    differ at the least member of an atom one of them holds, so choosing atoms
-    in that order yields the sets lexicographically, and the stream can stop
-    at the first failure of any downstream predicate. From atom t on, room[t]
-    members remain, odd[t] of them involutions; a size is reachable exactly
-    when it is at most room[t] and is even or odd[t] > 0, so a branch ends as
-    soon as it cannot be completed.
-    """
-    part = inverse_partition(g)
-    atoms = sorted([(x,) for x in part.involutions] + list(part.pairs))
-    room, odd = [0] * (len(atoms) + 1), [0] * (len(atoms) + 1)
-    for t in range(len(atoms) - 1, -1, -1):
-        room[t] = room[t + 1] + len(atoms[t])
-        odd[t] = odd[t + 1] + (len(atoms[t]) == 1)
-
-    def rec(chosen: tuple[int, ...], start: int, need: int):
-        for t in range(start, len(atoms)):
-            if need > room[t] or (need % 2 and not odd[t]):
-                return
-            atom = atoms[t]
-            if len(atom) == need:
-                yield tuple(sorted(chosen + atom))
-            elif len(atom) < need:
-                yield from rec(chosen + atom, t + 1, need - len(atom))
-
-    yield from rec((), 0, size)
+def _atoms(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """The atoms of symmetric identity-free sets, in order of least member:
+    each involution (x,) and each inverse pair (x, x^-1) with x < x^-1."""
+    inv = g.inv
+    return [
+        (x,) if inv[x] == x else (x, inv[x])
+        for x in range(g.order)
+        if x != g.identity and x <= inv[x]
+    ]
 
 
 def _sizes(g: FiniteGroup, k: int, mode: str) -> Collection[int]:
@@ -78,10 +34,35 @@ def enumerate_symmetric_sets(
 ) -> Iterator[tuple[int, ...]]:
     """Stream symmetric identity-free sets of size k ("exact") or 1..k ("at_most").
 
-    Sizes ascend in at_most mode and sets are lexicographic within a size.
+    Sizes ascend in at_most mode, and within a size the sets come in
+    lexicographic order of their sorted members. A symmetric set is a union
+    of atoms, taken in order of their least member. Two sets first differ at
+    the least member of an atom one of them holds, so choosing atoms in that
+    order yields the sets lexicographically, and the stream can stop at the
+    first failure of any downstream predicate. From atom t on, room[t]
+    members remain, odd[t] of them involutions; a size is reachable exactly
+    when it is at most room[t] and is even or odd[t] > 0, so a branch ends as
+    soon as it cannot be completed.
     """
-    for size in _sizes(g, k, mode):
-        yield from _lex_exact(g, size)
+    sizes = _sizes(g, k, mode)
+    atoms = _atoms(g)
+    room, odd = [0] * (len(atoms) + 1), [0] * (len(atoms) + 1)
+    for t in range(len(atoms) - 1, -1, -1):
+        room[t] = room[t + 1] + len(atoms[t])
+        odd[t] = odd[t + 1] + (len(atoms[t]) == 1)
+
+    def rec(chosen: tuple[int, ...], start: int, need: int):
+        for t in range(start, len(atoms)):
+            if need > room[t] or (need % 2 and not odd[t]):
+                return
+            atom = atoms[t]
+            if len(atom) == need:
+                yield tuple(sorted(chosen + atom))
+            elif len(atom) < need:
+                yield from rec(chosen + atom, t + 1, need - len(atom))
+
+    for size in sizes:
+        yield from rec((), 0, size)
 
 
 _V = TypeVar("_V")
@@ -125,9 +106,9 @@ def symmetric_sets_by_orbit(
 
 def count_symmetric_sets(g: FiniteGroup, k: int, mode: str = "exact") -> int:
     """Closed-form count: sum over a+2b = size of C(#involutions,a)*C(#pairs,b)."""
-    part = inverse_partition(g)
-    ni = len(part.involutions)
-    np_ = len(part.pairs)
+    atoms = _atoms(g)
+    np_ = sum(len(a) == 2 for a in atoms)
+    ni = len(atoms) - np_
     total = 0
     for size in _sizes(g, k, mode):
         for b in range(min(size // 2, np_) + 1):

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 from oracles import NAMED_SPECS, is_associative, order_counts, relabelled_document
+from test_classify import SWEPT_SPECS, _swept
 
 import integra.groups
 from integra.groups import (
@@ -195,6 +196,15 @@ def test_document_round_trip():
     assert h.table == g.table
     assert h.names == g.names
     assert h.identity == g.identity
+
+
+@pytest.mark.parametrize("spec", SWEPT_SPECS)
+def test_built_groups_round_trip_through_documents(spec):
+    # Every catalog and swept group has distinct element names, so its
+    # document imports back to the same table and names.
+    g = _swept(spec)
+    h = from_table(to_document(g))
+    assert (h.table, h.identity, h.names) == (g.table, g.identity, g.names)
 
 
 def test_from_table_rejects_bad_documents():

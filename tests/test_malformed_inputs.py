@@ -122,6 +122,8 @@ def _bad_documents(rng):
     # Element names are strings: null, numbers and lists are not read as their str().
     z2 = {"format": "ftg-1", "order": 2, "identity": 0, "table": [[0, 1], [1, 0]]}
     out += [{**z2, "names": names} for names in (["e", None], ["e", 7], [["e"], "a"], [True, "a"])]
+    # Names tell elements apart, so two elements may not share one.
+    out.append({**to_document(construct("cyclic:5")), "names": ["e", "a", "a", "a", "a"]})
     for spec in DOC_SPECS:
         base = to_document(construct(spec))
         out.extend(wrong(copy.deepcopy(base), base["order"]) for _ in range(8))
@@ -201,6 +203,16 @@ def test_element_names_must_be_strings(capsys, tmp_path):
     assert capsys.readouterr().err == "error: element names must be strings\n"
 
 
+def test_element_names_must_be_distinct(capsys, tmp_path):
+    # A witness is printed by its members' names, and ["a", "a"] would
+    # name no element of the group.
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({**to_document(construct("cyclic:5")),
+                                "names": ["e", "a", "a", "a", "a"]}))
+    assert main(["classify", "--file", str(path), "--class", "A", "--k", "2"]) == 2
+    assert capsys.readouterr().err == "error: element names must be distinct\n"
+
+
 def test_null_identity_reads_as_an_absent_key(capsys, tmp_path):
     # "identity": null means the key is absent, as "names": null does: the
     # identity is searched for, and a table without one still exits 2.
@@ -257,6 +269,18 @@ def test_odd_valency_without_involutions_is_answered_fast():
         assert proc.returncode == 0, proc.stderr
         rep = json.loads(proc.stdout)
         assert rep["vacuous"] is True and rep["sets_checked"] == 0
+
+
+def test_factor_count_is_bounded(capsys):
+    # A product of order at most 500 has at most 8 nontrivial factors; a
+    # long product of trivial ones is refused before any factor is built.
+    assert main(["construct", "--spec", " x ".join(["cyclic:1"] * 32)]) == 0
+    capsys.readouterr()
+    for count in (33, 10_000):
+        spec = " x ".join(["cyclic:1"] * count)
+        _run(capsys, ["classify", "--spec", spec, "--class", "A", "--k", "1"])
+        assert main(["construct", "--spec", spec]) == 2
+        assert capsys.readouterr().err == "error: spec has more than 32 factors\n"
 
 
 def test_count_beyond_the_group_is_answered_fast():

@@ -1,11 +1,13 @@
 """Symmetric connection-set enumeration tests."""
 
+import random
 from itertools import combinations
 
 import pytest
+from oracles import relabelled_document
 
-from integra.groups import catalog_groups, construct, cyclic
-from integra.symsets import count_symmetric_sets, enumerate_symmetric_sets, inverse_partition
+from integra.groups import catalog_groups, construct, cyclic, from_table
+from integra.symsets import _atoms, count_symmetric_sets, enumerate_symmetric_sets
 
 
 def _brute_sets(g, k):
@@ -17,14 +19,24 @@ def _brute_sets(g, k):
     return out
 
 
-def test_inverse_partition_quaternion():
-    g = construct("quaternion")
-    part = inverse_partition(g)
-    assert len(part.involutions) == 1
-    assert len(part.pairs) == 3
-    for lo, hi in part.pairs:
-        assert lo < hi
-        assert g.inv[lo] == hi
+def test_atoms_partition_the_non_identity_elements():
+    rng = random.Random(30)
+    for name, g in catalog_groups():
+        imported = from_table(relabelled_document(g, rng)[0])
+        assert imported.identity != 0, name
+        for h in (g, imported):
+            atoms = _atoms(h)
+            assert atoms == sorted(atoms), name
+            members = sorted(x for atom in atoms for x in atom)
+            assert members == [x for x in range(h.order) if x != h.identity], name
+            for atom in atoms:
+                if len(atom) == 1:
+                    assert h.inv[atom[0]] == atom[0], (name, atom)
+                else:
+                    x, y = atom
+                    assert x < y and h.inv[x] == y, (name, atom)
+    sizes = [len(atom) for atom in _atoms(construct("quaternion"))]
+    assert (sizes.count(1), sizes.count(2)) == (1, 3)
 
 
 def test_enumeration_matches_brute_force():
@@ -55,10 +67,13 @@ def test_at_most_mode_sizes_ascend():
 
 
 def test_counts_match_enumeration():
-    for name, g in catalog_groups():
+    # Three groups besides the catalog's, none of them with an involution.
+    odd = [(spec, construct(spec)) for spec in ("cyclic:1", "cyclic:9", "cyclic:3 x cyclic:5")]
+    for name, g in catalog_groups() + odd:
         for k in range(1, 7):
-            exact = count_symmetric_sets(g, k)
-            assert exact == len(list(enumerate_symmetric_sets(g, k))), (name, k)
+            for mode in ("exact", "at_most"):
+                count = count_symmetric_sets(g, k, mode)
+                assert count == len(list(enumerate_symmetric_sets(g, k, mode))), (name, k, mode)
         cum = count_symmetric_sets(g, 6, mode="at_most")
         assert cum == sum(count_symmetric_sets(g, k) for k in range(1, 7))
 

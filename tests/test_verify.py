@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import integra
 from integra.cli import main
 from integra.verify import list_claims, run_all, run_claim
 
@@ -93,3 +94,10 @@ def test_readme_library_block_runs(capsys):
         "3 ((2, 3), (0, 6), (-2, 3))",
         "True",
     ]
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from integra import *", namespace)
+    for name in integra.__all__:
+        assert namespace[name] is getattr(integra, name), name
