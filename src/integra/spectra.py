@@ -95,6 +95,16 @@ def is_integral(g: FiniteGroup, s) -> bool:
     return _walk(g, _smaller_side(g, validate_connection_set(g, s))[0])[1]
 
 
+def _shift_down(c: list[int]) -> None:
+    """Replace the coefficients c of p(x), lowest first, by those of p(x - 1).
+
+    A Taylor shift by -1, in O(d^2) additions for degree d.
+    """
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] -= c[j + 1]
+
+
 def _multiplicities(n: int, at_e: list[int]) -> dict[int, int]:
     """Multiplicity of each eigenvalue of an integral Cay(G,S), from its walk.
 
@@ -102,9 +112,9 @@ def _multiplicities(n: int, at_e: list[int]) -> dict[int, int]:
     passes v_a = p_a(sigma) * e, and n * v_a[e] = tr p_a(A) = sum_j m_j *
     p_a(lam_j) (Babai 1979). p_a(lam_j) is j!/(j-a)! for j >= a and 0 below,
     so the system is triangular: u_a = n * v_a[e] / a! = sum_j C(j, a) * m_j.
-    As polynomials U(x) = M(1 + x), so M(y) = U(y - 1), a Taylor shift by -1
-    in O(k^2) additions. Given the m_j above it, m_a is an integer exactly
-    when u_a is, so the divisions run from a = 2k down.
+    As polynomials U(x) = M(1 + x), so M(y) = U(y - 1) (_shift_down). Given
+    the m_j above it, m_a is an integer exactly when u_a is, so the divisions
+    run from a = 2k down.
     """
     top = len(at_e) - 1
     k = top // 2
@@ -115,9 +125,7 @@ def _multiplicities(n: int, at_e: list[int]) -> dict[int, int]:
         fact //= a or 1
         if rem:
             raise AssertionError(f"closed walks give no multiplicity for eigenvalue {a - k}")
-    for i in range(top):
-        for j in range(top - 1, i - 1, -1):
-            u[j] -= u[j + 1]
+    _shift_down(u)
     for j in range(top, -1, -1):
         if u[j] < 0:
             raise AssertionError(f"closed walks give no multiplicity for eigenvalue {j - k}")
@@ -188,28 +196,29 @@ def is_integral_cayley(g: FiniteGroup, s) -> tuple[bool, SpectrumReport]:
     """Verdict and spectrum report for Cay(G,S).
 
     The set is walked once, as in is_integral, and the verdict picks the
-    report's route. When 2k > n-1 that walk is of the complement S' of S in
-    G minus e, of valency n-1-k.
+    report's route. Both routes run on the walked side: S, or when 2k > n-1
+    its complement S' in G minus e, of valency k' = n-1-k.
 
     Integral: the multiplicities solve the triangular system that the walk's
-    2k+1 values at the identity give (_multiplicities). The walk runs over the
-    whole graph, so the multiplicities already count every component, and the
-    residual is 1. The multiplicity of k is the number of components, which
-    is the index [G:H] of the subgroup H that S generates. No polynomial is
-    formed. A walk of S' gives the multiplicities m' of J - I - A, which map
-    back by m(lam) = [lam = k] + m'(-1-lam) - [-1-lam = n-1-k]: the all-ones
-    vector has n-1-k there and k here, and every other eigenvector goes from
-    mu to -1-mu.
+    2k'+1 values at the identity give (_multiplicities). The walk runs over
+    the whole graph, so the multiplicities already count every component, and
+    the residual is 1. No polynomial is formed.
 
-    Otherwise: Cay(G,S) is [G:H] disjoint copies of Cay(H,S), so the
-    characteristic polynomial (char_poly, on H, of S itself even when S' was
-    walked) is raised to the index and multiplicities scale by the index.
-    Every eigenvalue of a k-regular graph lies in [-k, k]; x - lam is
-    divided out while lam is a root, for each
-    integer lam in that range, and what is left is the residual. The value at
-    lam, by Horner's rule, is the remainder of that division, so only roots
-    are divided out. Cay(H,S) is connected and k-regular, so k is a simple
-    root, and on both routes the component count is the index.
+    Otherwise: the graph is [G:H] disjoint copies of Cay(H,W), H the subgroup
+    that the walked set W generates, so the characteristic polynomial
+    (char_poly, on H) is raised to the index and multiplicities scale by the
+    index. Every eigenvalue of a k'-regular graph lies in [-k', k']; x - lam
+    is divided out while lam is a root, for each integer lam in that range,
+    and what is left is the residual. The value at lam, by Horner's rule, is
+    the remainder of that division, so only roots are divided out.
+
+    A walk of S' gives the spectrum of J - I - A, which maps back once: the
+    all-ones vector has n-1-k there and k here, and every other eigenvector
+    goes from mu to -1-mu. So m(lam) = [lam = k] + m'(-1-lam) -
+    [-1-lam = n-1-k], and the residual r' of degree d becomes
+    (-1)^d * r'(-1-x). On both routes the multiplicity of k is then the
+    number of components, which is the index [G:H] of the subgroup H that S
+    generates.
     """
     sset = validate_connection_set(g, s)
     k = len(sset)
@@ -217,25 +226,30 @@ def is_integral_cayley(g: FiniteGroup, s) -> tuple[bool, SpectrumReport]:
     at_e, ok = _walk(g, walked)
     if ok:
         mults = _multiplicities(g.order, at_e)
-        if flipped:
-            comp, mults = mults, {k: 1}
-            for mu, m in comp.items():
-                mults[-1 - mu] = mults.get(-1 - mu, 0) + m
-            mults[k - g.order] -= 1
-            mults = {lam: m for lam, m in mults.items() if m}
-        index = mults[k]
         residual = IntPolynomial((1,))
     else:
-        res = char_poly(g, sset)
-        index = g.order // res.degree
+        res = char_poly(g, walked)
+        lift = g.order // res.degree
         mults = {}
-        for lam in range(k, -k - 1, -1):
+        for lam in range(len(walked), -len(walked) - 1, -1):
             m = 0
             while res(lam) == 0:
                 res, m = res.divmod_by(IntPolynomial((-lam, 1)))[0], m + 1
             if m:
-                mults[lam] = m * index
-        residual = res**index
+                mults[lam] = m * lift
+        residual = res**lift
+    if flipped:
+        comp, mults = mults, {k: 1}
+        for mu, m in comp.items():
+            mults[-1 - mu] = mults.get(-1 - mu, 0) + m
+        mults[k - g.order] -= 1
+        mults = {lam: m for lam, m in mults.items() if m}
+        coeffs = list(residual.coeffs)
+        _shift_down(coeffs)
+        # (-1)^d * p(-x) negates the coefficients of x^(d-1), x^(d-3), ...
+        coeffs[-2::-2] = [-c for c in coeffs[-2::-2]]
+        residual = IntPolynomial(tuple(coeffs))
+    index = mults[k]
     rep = SpectrumReport(
         n=g.order,
         degree=k,

@@ -152,7 +152,7 @@ def test_complement_route_matches_the_oracles_on_dense_sets():
     rng = random.Random("dense sets")
     groups = [g for _name, g in catalog_groups() if g.order <= 12]
     groups += [construct(spec) for spec in DENSE_SPECS]
-    seen = {"integral": 0, "non-integral": 0, "walked disconnected": 0}
+    seen = {"integral": 0, "non-integral": 0, "non-integral, walked disconnected": 0}
     for g in groups:
         n = g.order
         sets = [s for k in range((n + 1) // 2, n) for s in enumerate_symmetric_sets(g, k)]
@@ -163,7 +163,8 @@ def test_complement_route_matches_the_oracles_on_dense_sets():
             assert is_integral(g, s) == fl_integral(g, s) == rep.integral, (n, s)
             seen["integral" if rep.integral else "non-integral"] += 1
             complement = [x for x in range(n) if x != g.identity and x not in s]
-            seen["walked disconnected"] += len(closure(g, complement)) < n
+            if not rep.integral and len(closure(g, complement)) < n:
+                seen["non-integral, walked disconnected"] += 1
     assert min(seen.values()) > 0, seen
 
 
@@ -192,6 +193,9 @@ def _rows_walked(monkeypatch):
     ("cyclic:12", tuple(range(1, 12))),
     ("cyclic:30", tuple(range(1, 30))),
     ("cyclic:2 x cyclic:2 x cyclic:2 x cyclic:2", tuple(range(1, 16))),
+    # {2, 8} generates the subgroup of order 5.
+    ("cyclic:10", (1, 3, 4, 5, 6, 7, 9)),
+    ("dihedral:12", (1, 2, 3, 4, 9, 10)),
 ], ids=[
     "cyclic:1 empty set, walked as it is",
     "K2, whose complement is empty",
@@ -202,6 +206,8 @@ def _rows_walked(monkeypatch):
     "K12 on Z12",
     "K30 on Z30",
     "K16 on Z2^4",
+    "non-integral on Z10, its disconnected complement walked",
+    "non-integral valency 6 on D12, complemented",
 ])
 def test_complement_route_edge_cases(monkeypatch, spec, s):
     g = construct(spec)
@@ -228,6 +234,34 @@ def test_dense_walks_pass_at_most_the_smaller_side(monkeypatch, capsys, s):
     assert main(["spectrum", "--spec", "cyclic:240", "--set-indices", indices, "--json"]) == 0
     assert '"integral": true' in capsys.readouterr().out
     assert walked and max(walked) <= bound
+
+
+def test_dense_non_integral_report_never_forms_the_dense_polynomial(monkeypatch, capsys):
+    # S = {2..238} on Z240 is the complement of the 240-cycle, so its
+    # eigenvalues are 237 and -1-2cos(2*pi*j/240) for j = 1..239: the integer
+    # ones are 1 (j = 120), 0, -1 and -2 (twice each). The polynomial of S
+    # itself took over a minute; the report comes from the cycle's.
+    g = construct("cyclic:240")
+    s = tuple(range(2, 239))
+    cycle = is_integral_cayley(g, (1, 239))[1]
+    poly = integra.spectra.char_poly
+
+    def sparse_only(g, s):
+        assert 2 * len(s) <= g.order - 1, len(s)
+        return poly(g, s)
+
+    monkeypatch.setattr(integra.spectra, "char_poly", sparse_only)
+    ok, rep = is_integral_cayley(g, s)
+    assert not ok
+    assert rep.eigenvalues == ((237, 1), (1, 1), (0, 2), (-1, 2), (-2, 2))
+    assert rep.residual.degree == 232 and rep.index == 1
+    # The residual's roots are the cycle's non-integral eigenvalues mu moved
+    # to -1-mu; two polynomials of degree 232 that agree at 233 points are equal.
+    assert cycle.residual.degree == 232
+    assert all(rep.residual(x) == cycle.residual(-1 - x) for x in range(-116, 117))
+    indices = ",".join(map(str, s))
+    assert main(["spectrum", "--spec", "cyclic:240", "--set-indices", indices, "--json"]) == 1
+    assert '"integral": false' in capsys.readouterr().out
 
 
 def test_disconnected_set_lifts_by_index():
@@ -268,7 +302,12 @@ def test_random_regular_graphs_consistency():
             assert -2 * cp.coeffs[n - 2] == k * n
 
 
-@pytest.mark.parametrize("spec", ["sym:4", "dic(cyclic:3 x cyclic:6)"])
+# Dic(Z3 x Z6) has no connected set below valency 6; 12 and 13 are dense
+# valencies of S4, reported through the complement.
+RELABELLED_VALENCIES = {"sym:4": (2, 3, 4, 6, 12, 13), "dic(cyclic:3 x cyclic:6)": (2, 3, 4, 6)}
+
+
+@pytest.mark.parametrize("spec", RELABELLED_VALENCIES)
 def test_reports_on_relabelled_imports_match_the_original(spec):
     g = construct(spec)
     doc, new = relabelled_document(g, random.Random(g.order))
@@ -276,8 +315,7 @@ def test_reports_on_relabelled_imports_match_the_original(spec):
     assert h.identity != 0
     rng = random.Random(5)
     indices = set()
-    # Dic(Z3 x Z6) has no connected set below valency 6.
-    for k in (2, 3, 4, 6):
+    for k in RELABELLED_VALENCIES[spec]:
         for s in rng.sample(list(enumerate_symmetric_sets(g, k)), 10):
             verdict = is_integral_cayley(g, s)
             t = [new[x] for x in s]
