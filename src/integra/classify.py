@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .groups import (
     FiniteGroup,
@@ -16,6 +17,16 @@ from .symsets import symmetric_sets_by_orbit
 
 @dataclass(frozen=True)
 class MembershipReport:
+    """One A_k or G_k scan of the group labelled group_id.
+
+    A_k scans the sets of size k, and G_k sizes 1..min(k, n - 1) in turn,
+    each size in lexicographic order, up to the first non-integral set: the
+    witness, None for a member. sets_checked counts the sets visited, the
+    witness included: for A_k its position among the sets of size k, for
+    G_k every set of the smaller sizes plus its position in its own size.
+    vacuous means that the scan had no set to visit.
+    """
+
     group_id: str
     cls: str
     k: int
@@ -27,11 +38,12 @@ class MembershipReport:
 
 
 def _scan(g: FiniteGroup, k: int, cls: str) -> MembershipReport:
-    mode = "exact" if cls == "A" else "at_most"
-    checked = 0
-    witness = None
-    for s, integral in symmetric_sets_by_orbit(g, k, mode, is_integral):
-        checked += 1
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    sizes = (k,) if cls == "A" else range(1, min(k, g.order - 1) + 1)
+    witness, checked = None, 0
+    scans = (symmetric_sets_by_orbit(g, j, is_integral) for j in sizes)
+    for checked, (s, integral) in enumerate(chain.from_iterable(scans), 1):
         if not integral:
             witness = s
             break
@@ -48,14 +60,12 @@ def _scan(g: FiniteGroup, k: int, cls: str) -> MembershipReport:
 
 
 def in_A_k(g: FiniteGroup, k: int) -> MembershipReport:
-    """Every valency-k Cayley graph integral; sets are scanned in lexicographic
-    order, so a failure report carries the lexicographically first witness."""
+    """Whether every valency-k Cayley graph of g is integral."""
     return _scan(g, k, "A")
 
 
 def in_G_k(g: FiniteGroup, k: int) -> MembershipReport:
-    """Every Cayley graph of valency at most k integral; sizes ascend and the
-    scan stops at the first witness."""
+    """Whether every Cayley graph of g of valency at most k is integral."""
     return _scan(g, k, "G")
 
 

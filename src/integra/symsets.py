@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from math import comb
 from operator import itemgetter
-from typing import Callable, Collection, Iterator, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from .groups import FiniteGroup
 
@@ -20,31 +20,21 @@ def _atoms(g: FiniteGroup) -> list[tuple[int, ...]]:
     ]
 
 
-def _sizes(g: FiniteGroup, k: int, mode: str) -> Collection[int]:
-    """The set sizes that k and mode select, after checking both."""
+def enumerate_symmetric_sets(g: FiniteGroup, k: int) -> Iterator[tuple[int, ...]]:
+    """Stream the symmetric identity-free sets of size k, k >= 1.
+
+    A stream holds one size; a caller that wants several chains one stream
+    per size. The sets come in lexicographic order of their sorted members.
+    A symmetric set is a union of atoms, taken in order of their least
+    member. Two sets first differ at the least member of an atom one of them
+    holds, so choosing atoms in that order yields the sets lexicographically,
+    and the stream can stop at the first failure of any downstream
+    predicate. From atom t on, room[t] members remain, odd[t] of them
+    involutions; a size is reachable exactly when it is at most room[t] and
+    is even or odd[t] > 0, so a branch ends as soon as it cannot be completed.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if mode not in ("exact", "at_most"):
-        raise ValueError(f"unknown mode {mode!r}")
-    return range(1, min(k, g.order - 1) + 1) if mode == "at_most" else (k,)
-
-
-def enumerate_symmetric_sets(
-    g: FiniteGroup, k: int, mode: str = "exact"
-) -> Iterator[tuple[int, ...]]:
-    """Stream symmetric identity-free sets of size k ("exact") or 1..k ("at_most").
-
-    Sizes ascend in at_most mode, and within a size the sets come in
-    lexicographic order of their sorted members. A symmetric set is a union
-    of atoms, taken in order of their least member. Two sets first differ at
-    the least member of an atom one of them holds, so choosing atoms in that
-    order yields the sets lexicographically, and the stream can stop at the
-    first failure of any downstream predicate. From atom t on, room[t]
-    members remain, odd[t] of them involutions; a size is reachable exactly
-    when it is at most room[t] and is even or odd[t] > 0, so a branch ends as
-    soon as it cannot be completed.
-    """
-    sizes = _sizes(g, k, mode)
     atoms = _atoms(g)
     room, odd = [0] * (len(atoms) + 1), [0] * (len(atoms) + 1)
     for t in range(len(atoms) - 1, -1, -1):
@@ -61,35 +51,37 @@ def enumerate_symmetric_sets(
             elif len(atom) < need:
                 yield from rec(chosen + atom, t + 1, need - len(atom))
 
-    for size in sizes:
-        yield from rec((), 0, size)
+    yield from rec((), 0, k)
 
 
 _V = TypeVar("_V")
 
 
 def symmetric_sets_by_orbit(
-    g: FiniteGroup, k: int, mode: str, value: Callable[[FiniteGroup, tuple[int, ...]], _V]
+    g: FiniteGroup, k: int, value: Callable[[FiniteGroup, tuple[int, ...]], _V]
 ) -> Iterator[tuple[tuple[int, ...], _V]]:
-    """Every set of enumerate_symmetric_sets, in its order, with value(g, s).
+    """Every set of enumerate_symmetric_sets(g, k), in its order, with value(g, s).
 
     value must be invariant under Aut(G), as every property of Cay(G,S) up
     to isomorphism is: Cay(G,S) and Cay(G,phi(S)) are isomorphic for every
-    automorphism phi. A set of size at most 2 is valued by its own call (it
+    automorphism phi. For k at most 2 each set is valued by its own call (it
     generates a cyclic or dihedral subgroup, so its value is cheap). From
-    size 3 on, a set that no earlier set handed a value is valued, and its
+    k = 3 on, a set that no earlier set handed a value is valued, and its
     orbit is grown breadth-first under generators of Aut(G), kept with the
     group, straight into the table of handed-on values: value runs once per
     orbit. Such a set is the least member of its orbit, since an earlier
     member would have handed it the value, so every other member comes
     later; orbits are disjoint, so an entry already in the table from
-    another orbit is never an image.
+    another orbit is never an image. An automorphism keeps a set's size, so
+    every orbit lies in the one stream, and the table is empty at its end.
     """
+    sets = enumerate_symmetric_sets(g, k)
+    if k <= 2:
+        yield from ((s, value(g, s)) for s in sets)
+        return
     ahead: dict[tuple[int, ...], _V] = {}
-    for s in enumerate_symmetric_sets(g, k, mode):
-        if len(s) <= 2:
-            yield s, value(g, s)
-        elif s in ahead:
+    for s in sets:
+        if s in ahead:
             yield s, ahead.pop(s)
         else:
             v = ahead[s] = value(g, s)
@@ -104,14 +96,11 @@ def symmetric_sets_by_orbit(
             yield s, ahead.pop(s)
 
 
-def count_symmetric_sets(g: FiniteGroup, k: int, mode: str = "exact") -> int:
-    """Closed-form count: sum over a+2b = size of C(#involutions,a)*C(#pairs,b)."""
+def count_symmetric_sets(g: FiniteGroup, k: int) -> int:
+    """The number of size-k sets: sum over a+2b = k of C(#involutions,a)*C(#pairs,b)."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     atoms = _atoms(g)
     np_ = sum(len(a) == 2 for a in atoms)
     ni = len(atoms) - np_
-    total = 0
-    for size in _sizes(g, k, mode):
-        for b in range(min(size // 2, np_) + 1):
-            a = size - 2 * b
-            total += comb(ni, a) * comb(np_, b)
-    return total
+    return sum(comb(ni, k - 2 * b) * comb(np_, b) for b in range(min(k // 2, np_) + 1))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 from collections import Counter
-from itertools import product
+from itertools import chain, product
 from math import gcd
 from operator import add
 
@@ -431,10 +431,12 @@ def _plain_verdict(g: FiniteGroup):
 # On _plain_verdict, so tests/test_orbits.py checks the walk verdict against
 # atoms on abelian groups and against FL on the rest.
 def plain_scan(g: FiniteGroup, k: int, cls: str) -> MembershipReport:
-    """A_k ("A") or G_k ("G") membership by deciding every set in enumeration order."""
+    """A_k ("A") or G_k ("G") membership by deciding every set in enumeration
+    order: size k for A_k, and sizes 1..k, up to n - 1, in turn for G_k."""
     integral = _plain_verdict(g)
+    sizes = [k] if cls == "A" else range(1, min(k, g.order - 1) + 1)
     checked = 0
-    for s in enumerate_symmetric_sets(g, k, "exact" if cls == "A" else "at_most"):
+    for s in chain.from_iterable(enumerate_symmetric_sets(g, j) for j in sizes):
         checked += 1
         if not integral(g, s):
             names = tuple(g.names[x] for x in s)

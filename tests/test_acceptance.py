@@ -169,7 +169,7 @@ def test_property_trace_identities():
     start = time.monotonic()
     spectra = 0
     for _name, g in catalog_groups():
-        sets = list(enumerate_symmetric_sets(g, 2, mode="at_most"))
+        sets = [s for k in (1, 2) for s in enumerate_symmetric_sets(g, k)]
         sets.extend(list(enumerate_symmetric_sets(g, 3))[:5])
         for s in sets:
             _ok, rep = is_integral_cayley(g, s)

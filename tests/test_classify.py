@@ -18,12 +18,15 @@ from integra.classify import (
 from integra.groups import (
     CATALOG,
     ORDER_BOUND,
+    catalog_groups,
     construct,
     cyclic,
     element_orders,
     from_table,
     is_nilpotent,
 )
+from integra.spectra import is_integral
+from integra.symsets import count_symmetric_sets, enumerate_symmetric_sets, symmetric_sets_by_orbit
 
 
 def test_d8_fails_a3_with_first_witness():
@@ -61,10 +64,54 @@ def test_g_class_counts_all_small_sizes():
 
 
 def test_k_must_be_positive():
-    with pytest.raises(ValueError):
-        in_A_k(cyclic(4), 0)
-    with pytest.raises(ValueError):
-        in_G_k(cyclic(4), -1)
+    g = cyclic(4)
+    for call in (
+        lambda: in_A_k(g, 0),
+        lambda: in_A_k(g, -1),
+        lambda: in_G_k(g, 0),
+        lambda: in_G_k(g, -1),
+        lambda: count_symmetric_sets(g, 0),
+        lambda: list(enumerate_symmetric_sets(g, 0)),
+        lambda: list(symmetric_sets_by_orbit(g, 0, is_integral)),
+    ):
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            call()
+
+
+def _assert_g_k_is_a_1_to_a_k(g, k):
+    """in_G_k(g, k) against the first j <= k whose A_j scan fails: the same
+    witness, every set of the sizes below j plus that scan's count, and
+    membership exactly when no A_j fails. Returns the G_k report."""
+    rep = in_G_k(g, k)
+    below = 0
+    for j in range(1, k + 1):
+        a_j = in_A_k(g, j)
+        if not a_j.member:
+            assert (rep.witness, rep.witness_words) == (a_j.witness, a_j.witness_words), j
+            assert rep.sets_checked == below + a_j.sets_checked, j
+            break
+        below += count_symmetric_sets(g, j)
+    else:
+        assert rep.witness is None and rep.sets_checked == below
+    assert rep.member == (rep.witness is None)
+    assert rep.vacuous == (rep.sets_checked == 0)
+    return rep
+
+
+# The sizes ascend: a G_k scan meets the witness of the least failing A_j.
+@pytest.mark.parametrize("k", range(1, 5))
+def test_g_k_is_the_conjunction_of_a_1_to_a_k(k):
+    for _name, g in catalog_groups():
+        _assert_g_k_is_a_1_to_a_k(g, k)
+
+
+def test_g6_of_dic_z3xz6_fails_at_the_first_a6_witness():
+    g = construct("dic(cyclic:3 x cyclic:6)")
+    rep = _assert_g_k_is_a_1_to_a_k(g, 6)
+    assert rep.witness == (3, 6, 8, 22, 23, 28)
+    assert sum(count_symmetric_sets(g, j) for j in range(1, 6)) == 307
+    assert in_A_k(g, 6).sets_checked == 240
+    assert rep.sets_checked == 547
 
 
 def test_structural_a2():

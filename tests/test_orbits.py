@@ -87,21 +87,22 @@ def test_automorphisms_of_relabelled_import():
             _assert_automorphism(g, phi)
 
 
-def _assert_values(g, k, mode, value):
-    """The stream yields every set in enumeration order, each with value(g, s)
-    as a direct call gives it; value runs at most once per set, and on every
-    set of size at most 2. Returns the sets value ran on."""
+def _assert_values(g, k, value):
+    """The stream of the size-k sets yields each in enumeration order, with
+    value(g, s) as a direct call gives it; value runs at most once per set,
+    and on every set when k is at most 2. Returns the sets value ran on."""
     calls = []
 
     def counting_value(group, s):
         calls.append(s)
         return value(group, s)
 
-    stream = list(symmetric_sets_by_orbit(g, k, mode, counting_value))
+    stream = list(symmetric_sets_by_orbit(g, k, counting_value))
     sets = [s for s, _v in stream]
-    assert sets == list(enumerate_symmetric_sets(g, k, mode))
+    assert sets == list(enumerate_symmetric_sets(g, k))
     assert len(set(calls)) == len(calls)
-    assert {s for s in sets if len(s) <= 2} <= set(calls)
+    if k <= 2:
+        assert calls == sets
     for s, v in stream:
         assert v == value(g, s), s
     return calls
@@ -117,14 +118,15 @@ def test_stream_values_each_set_once_by_an_automorphic_image(monkeypatch):
     def orbit(group, s):
         return frozenset(tuple(sorted(phi[x] for x in s)) for phi in autos)
 
-    calls = _assert_values(g, 15, "at_most", orbit)
-    sets = list(enumerate_symmetric_sets(g, 15, mode="at_most"))
+    # One stream per size, 1..15: an automorphism keeps a set's size.
+    calls = [s for k in range(1, 16) for s in _assert_values(g, k, orbit)]
+    sets = [s for k in range(1, 16) for s in enumerate_symmetric_sets(g, k)]
     # 511 sets in 65 orbits under 192 automorphisms. The 12 sets of size at
     # most 2 (5 orbits) are valued by their own calls, and each of the other
     # 60 orbits by one call, its least member's, from the first scan on.
     assert len(sets) == 511 and len({orbit(g, s) for s in sets}) == 65 and len(autos) == 192
     assert len(calls) == 12 + 60
-    assert len(_assert_values(g, 15, "at_most", orbit)) == 12 + 60
+    assert sum(len(_assert_values(g, k, orbit)) for k in range(1, 16)) == 12 + 60
     # So does the first G_15 scan of another fresh copy: Q8xZ2 is in G_15,
     # so the scan visits every set.
     real_is_integral, verdicts = integra.classify.is_integral, []
@@ -302,7 +304,7 @@ def _c17_matches_plain_census(monkeypatch, g):
 def test_c17_violations_cover_whole_orbits(monkeypatch, spec):
     g = construct(spec)
     assert _c17_matches_plain_census(monkeypatch, g)
-    _assert_values(g, 3, "exact", integra.verify._cubic_value)
+    _assert_values(g, 3, integra.verify._cubic_value)
 
 
 @pytest.mark.parametrize(

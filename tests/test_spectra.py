@@ -288,7 +288,8 @@ def test_random_regular_graphs_consistency():
     groups = [g for _name, g in catalog_groups() if g.order <= 12]
     for _ in range(40):
         g = rng.choice(groups)
-        sets = list(enumerate_symmetric_sets(g, rng.randrange(1, 5), mode="at_most"))
+        m = rng.randrange(1, 5)
+        sets = [s for k in range(1, m + 1) for s in enumerate_symmetric_sets(g, k)]
         if not sets:
             continue
         s = sets[rng.randrange(len(sets))]
