@@ -6,7 +6,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
-from itertools import chain
 from math import gcd
 from operator import add, eq, itemgetter
 from typing import Iterator
@@ -63,6 +62,19 @@ class FiniteGroup:
     def _aut_generators(self) -> tuple[tuple[int, ...], ...]:
         """A generating set of Aut(G), searched for once per group object."""
         return _automorphism_generators(self)
+
+    @cached_property
+    def _atoms(self) -> tuple[tuple[int, ...], ...]:
+        """The atoms of symmetric identity-free sets, in order of least
+        member: each involution (x,) and each inverse pair (x, x^-1) with
+        x < x^-1. Built once per group object, as every set stream and
+        count over the group starts from them."""
+        inv = self.inv
+        return tuple(
+            (x,) if inv[x] == x else (x, inv[x])
+            for x in range(self.order)
+            if x != self.identity and x <= inv[x]
+        )
 
 
 def _word_name(word: list[str]) -> str:
@@ -441,7 +453,19 @@ def to_document(g: FiniteGroup) -> dict:
 
 
 def from_table(doc: dict, label: str = "imported") -> FiniteGroup:
-    """Validate a group-table document and build the group it describes."""
+    """Validate a group-table document and build the group it describes.
+
+    A rejected document gets the first message in this order: the order,
+    each row's size and then the type and range of its entries, the rows
+    and columns of a Latin square, the identity index, a two-sided identity,
+    associativity, then the names. One pass per row reads its size, its
+    entry types and its entries as a set, which settles range and Latin
+    rows together. Columns are read only when a later table check fails:
+    Latin rows, a two-sided identity and associativity make a monoid in
+    which every element has a right inverse (its row is a permutation), so
+    a group, whose columns are Latin; an accepted table needs no column
+    pass.
+    """
     if not isinstance(doc, dict) or doc.get("format") != "ftg-1":
         raise ValueError("not an ftg-1 document")
     n = doc.get("order")
@@ -453,41 +477,50 @@ def from_table(doc: dict, label: str = "imported") -> FiniteGroup:
         raise ValueError(f"group order exceeds {ORDER_BOUND}")
     if not isinstance(table, list) or len(table) != n:
         raise ValueError("table size does not match order")
+    # A row of n ints equals range(n) as a set exactly when it is in range
+    # and Latin; min and max tell the two faults apart only in a row that is
+    # not. A row that is merely not Latin is named once every row has passed
+    # size and range, as those are checked row by row first.
+    full = set(range(n))
     rows = []
+    latin_rows = True
     for row in table:
         if not isinstance(row, list) or len(row) != n:
             raise ValueError("table size does not match order")
-        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
+        if set(map(type, row)) != {int}:
             raise ValueError("table entry out of range")
+        if set(row) != full:
+            if min(row) < 0 or max(row) >= n:
+                raise ValueError("table entry out of range")
+            latin_rows = False
         rows.append(tuple(row))
-    # With every entry in range, n distinct entries in a line are all of them.
-    # zip(*rows) yields the columns one at a time.
-    for line in chain(rows, zip(*rows)):
-        if len(set(line)) != n:
-            raise ValueError("not a Latin square")
+    if not latin_rows:
+        raise ValueError("not a Latin square")
     # A null identity reads as an absent one, as null names do.
     ident = doc.get("identity")
     if ident is not None and (type(ident) is not int or ident < 0 or ident >= n):
-        raise ValueError("bad identity index")
+        raise _table_fault(rows, "bad identity index")
     candidates = range(n) if ident is None else (ident,)
     ident = next(
         (e for e in candidates if all(rows[e][j] == j and rows[j][e] == j for j in range(n))),
         None,
     )
     if ident is None:
-        raise ValueError("no identity")
+        raise _table_fault(rows, "no identity")
     # Light's test. The s with (x*s)*y == x*(s*y) for all x, y are closed
-    # under products, so it is enough to check s over a generating set. Each
-    # generator is checked before the next is sought, so the ones before it
-    # generate a subgroup that it at least doubles: at most log2(n) + 1 are
-    # checked, O(n^2 log n) in all.
+    # under products, so it is enough to check s over a generating set, whose
+    # _span from the identity reaches every element. Each generator is
+    # checked before the next is sought, so the ones before it generate a
+    # subgroup (its elements associate, and its rows are permutations) that
+    # it at least doubles: at most log2(n) + 1 are checked, O(n^2 log n) in
+    # all.
     for s in _generating_set(rows, ident, range(n)):
         # x_times_sy(rows[x]) is the row y -> x*(s*y); s is not the identity,
         # so n >= 2 and the getter returns a tuple, not a single entry.
         x_times_sy = itemgetter(*rows[s])
         for rx in rows:
             if rows[rx[s]] != x_times_sy(rx):
-                raise ValueError("not associative")
+                raise _table_fault(rows, "not associative")
     inv = tuple(rows[i].index(ident) for i in range(n))
     names = doc.get("names")
     if names is None:
@@ -499,6 +532,17 @@ def from_table(doc: dict, label: str = "imported") -> FiniteGroup:
     if len(set(names)) != n:
         raise ValueError("element names must be distinct")
     return FiniteGroup(n, ident, tuple(rows), inv, tuple(names), (), label)
+
+
+def _table_fault(rows, message: str) -> ValueError:
+    """The error for a table with Latin rows that fails a later check:
+    "not a Latin square" if a column repeats an entry, else message. A
+    table that passes every check is a group, whose columns are Latin, so
+    from_table reads the columns only here."""
+    n = len(rows)
+    if any(len(set(col)) != n for col in zip(*rows)):
+        return ValueError("not a Latin square")
+    return ValueError(message)
 
 
 def _span(table, identity, gens) -> list[int]:

@@ -2,22 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 from operator import itemgetter
 from typing import Callable, Iterator, TypeVar
 
 from .groups import FiniteGroup
-
-
-def _atoms(g: FiniteGroup) -> list[tuple[int, ...]]:
-    """The atoms of symmetric identity-free sets, in order of least member:
-    each involution (x,) and each inverse pair (x, x^-1) with x < x^-1."""
-    inv = g.inv
-    return [
-        (x,) if inv[x] == x else (x, inv[x])
-        for x in range(g.order)
-        if x != g.identity and x <= inv[x]
-    ]
 
 
 def enumerate_symmetric_sets(g: FiniteGroup, k: int) -> Iterator[tuple[int, ...]]:
@@ -35,11 +25,10 @@ def enumerate_symmetric_sets(g: FiniteGroup, k: int) -> Iterator[tuple[int, ...]
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    atoms = _atoms(g)
-    room, odd = [0] * (len(atoms) + 1), [0] * (len(atoms) + 1)
-    for t in range(len(atoms) - 1, -1, -1):
-        room[t] = room[t + 1] + len(atoms[t])
-        odd[t] = odd[t + 1] + (len(atoms[t]) == 1)
+    atoms = g._atoms
+    sizes = [*map(len, reversed(atoms))]
+    room = [*accumulate(sizes, initial=0)][::-1]
+    odd = [*accumulate((s == 1 for s in sizes), initial=0)][::-1]
 
     def rec(chosen: tuple[int, ...], start: int, need: int):
         for t in range(start, len(atoms)):
@@ -100,7 +89,7 @@ def count_symmetric_sets(g: FiniteGroup, k: int) -> int:
     """The number of size-k sets: sum over a+2b = k of C(#involutions,a)*C(#pairs,b)."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    atoms = _atoms(g)
-    np_ = sum(len(a) == 2 for a in atoms)
-    ni = len(atoms) - np_
+    # The atoms partition the n - 1 non-identity elements.
+    np_ = g.order - 1 - len(g._atoms)
+    ni = len(g._atoms) - np_
     return sum(comb(ni, k - 2 * b) * comb(np_, b) for b in range(min(k // 2, np_) + 1))

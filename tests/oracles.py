@@ -14,9 +14,10 @@ closures: each <x, y> told by its element-order counts against groups
 built from specs, and the lower central series. Every automorphism of a
 small group, each map of a generating set to elements of equal orders
 checked on the whole table. A plain membership
-scan that decides every connection set, with no automorphism orbits. An associativity check of a table over every triple.
-And a random relabelling of a group table, as an imported document would
-carry it.
+scan that decides every connection set, with no automorphism orbits. An associativity check of a table over every triple,
+and the checks of an imported table in their documented order with no
+shortcut. And a random relabelling of a group table, as an imported
+document would carry it.
 """
 
 from __future__ import annotations
@@ -471,6 +472,36 @@ def is_associative(rows) -> bool:
                 if rij[k] != ri[rj[k]]:
                     return False
     return True
+
+
+def table_fault(doc: dict) -> str | None:
+    """The message from_table gives for the table and identity of doc, an
+    ftg-1 document with a valid order and names, or None when they make a
+    group. Every check runs in its documented order, with no shortcut: each
+    row's size, then the type and range of its entries; the rows and then
+    the columns as lines of a Latin square; a designated identity's type and
+    range, then a two-sided identity; then every triple by is_associative."""
+    n, table = doc["order"], doc["table"]
+    if len(table) != n:
+        return "table size does not match order"
+    for row in table:
+        if len(row) != n:
+            return "table size does not match order"
+        if any(type(x) is not int or not 0 <= x < n for x in row):
+            return "table entry out of range"
+    full = list(range(n))
+    for line in table + [[row[j] for row in table] for j in range(n)]:
+        if sorted(line) != full:
+            return "not a Latin square"
+    ident = doc.get("identity")
+    if ident is not None and (type(ident) is not int or not 0 <= ident < n):
+        return "bad identity index"
+    candidates = full if ident is None else [ident]
+    if not any(table[e] == full and [row[e] for row in table] == full for e in candidates):
+        return "no identity"
+    if not is_associative(table):
+        return "not associative"
+    return None
 
 
 def relabelled_document(g: FiniteGroup, rng) -> tuple[dict, list[int]]:

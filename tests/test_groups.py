@@ -5,7 +5,7 @@ import time
 from itertools import combinations
 
 import pytest
-from oracles import NAMED_SPECS, is_associative, order_counts, relabelled_document
+from oracles import NAMED_SPECS, is_associative, order_counts, relabelled_document, table_fault
 from test_classify import SWEPT_SPECS, _swept
 
 import integra.groups
@@ -247,6 +247,26 @@ def test_from_table_checks_columns_of_the_latin_square():
         doc = {"format": "ftg-1", "order": len(table), "identity": 0, "table": table}
         with pytest.raises(ValueError, match="^not a Latin square$"):
             from_table(doc)
+    # Columns are read only on the way to rejecting a table, and a repeated
+    # one is still named before every later fault: a bad or boolean identity
+    # index, no two-sided identity, or (with the two-sided identity 0) a
+    # non-associative product.
+    no_identity = [[0, 1, 2], [1, 2, 0], [1, 0, 2]]
+    with_identity = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 0, 1, 3], [3, 2, 1, 0]]
+    assert not is_associative(with_identity)
+    for table, identity in [
+        (no_identity, 3),
+        (no_identity, -1),
+        (no_identity, True),
+        (no_identity, None),
+        ([[0, 1], [0, 1]], None),
+        (with_identity, "0"),
+        (with_identity, 0),
+        (with_identity, None),
+    ]:
+        doc = {"format": "ftg-1", "order": len(table), "identity": identity, "table": table}
+        with pytest.raises(ValueError, match="^not a Latin square$"):
+            from_table(doc)
 
 
 @pytest.mark.parametrize(
@@ -265,6 +285,68 @@ def test_from_table_checks_size_range_and_latin_in_order(table, message):
     doc = {"format": "ftg-1", "order": 3, "identity": 0, "table": table}
     with pytest.raises(ValueError, match=f"^{message}$"):
         from_table(doc)
+
+
+def _faulty_document(rng) -> dict:
+    """A relabelled table of order at most 7, a group's or the order-5 loop's,
+    with up to three random faults and a random designated identity."""
+    if rng.random() < 0.2:
+        doc = {"format": "ftg-1", "order": 5, "identity": 0, "table": [list(r) for r in _LOOP5]}
+    else:
+        doc, _new = relabelled_document(construct(rng.choice(_FAULTY_BASES)), rng)
+    table, n = doc["table"], doc["order"]
+    for _ in range(rng.randrange(4)):
+        row, c, d = table[rng.randrange(n)], rng.randrange(n), rng.randrange(n)
+        if max(c, d) >= len(row):  # a row already cut short
+            continue
+        fault = rng.choice(("range", "bool", "float", "repeat", "swap", "switch", "short"))
+        if fault == "range":
+            row[c] = rng.choice((-1, n, n + 5))
+        elif fault == "bool":
+            row[c] = rng.choice((True, False))
+        elif fault == "float":
+            row[c] = float(row[c])
+        elif fault == "repeat":
+            row[c] = row[d]
+        elif fault == "swap":
+            row[c], row[d] = row[d], row[c]
+        elif fault == "switch":
+            # Switch the subsquare a b / b a on columns c, d of this row and
+            # another, if there is one: every line keeps its entries.
+            other = table[d]
+            if len(row) == len(other) == n and row is not other and row[c] in other:
+                e = other.index(row[c])
+                if e != c and row[e] == other[c]:
+                    row[c], row[e], other[c], other[e] = row[e], row[c], other[e], other[c]
+        else:
+            row.pop()
+    doc["identity"] = rng.choice((doc["identity"], None, rng.randrange(n), -1, n, True))
+    return doc
+
+
+_FAULTY_BASES = ("cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:2 x cyclic:2", "cyclic:5",
+                 "cyclic:6", "sym:3", "cyclic:7")
+
+
+def test_from_table_agrees_with_ordered_checks_on_random_faults():
+    # from_table reads columns only on the way to rejecting a table, and reads
+    # range and Latin rows in one pass; the oracle runs every check in order.
+    rng = random.Random(33)
+    seen = set()
+    for _ in range(3000):
+        doc = _faulty_document(rng)
+        expected = table_fault(doc)
+        seen.add(expected)
+        if expected is None:
+            g = from_table(doc)
+            assert g.table == tuple(map(tuple, doc["table"])), doc
+        else:
+            with pytest.raises(ValueError) as err:
+                from_table(doc)
+            assert str(err.value) == expected, doc
+    assert seen == {None, "table size does not match order", "table entry out of range",
+                         "not a Latin square", "bad identity index", "no identity",
+                         "not associative"}, seen
 
 
 def test_from_table_names_elements_when_the_document_does_not():

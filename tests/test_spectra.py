@@ -30,7 +30,6 @@ from integra.spectra import (
     is_integral_cayley,
     validate_connection_set,
 )
-from integra.symsets import _atoms as symmetric_atoms
 from integra.symsets import enumerate_symmetric_sets
 
 
@@ -108,7 +107,7 @@ def test_two_routes_agree_on_catalog_cubic_sets():
 def _random_symmetric_set(g, size, rng, within=None):
     """A random symmetric identity-free set of the given size, or None; with
     within (a set of elements closed under inverses), drawn from it alone."""
-    pieces = sorted(symmetric_atoms(g), key=len)  # involutions first
+    pieces = sorted(g._atoms, key=len)  # involutions first
     if within is not None:
         pieces = [p for p in pieces if p[0] in within]
     rng.shuffle(pieces)

@@ -7,7 +7,7 @@ import pytest
 from oracles import relabelled_document
 
 from integra.groups import catalog_groups, construct, cyclic, from_table
-from integra.symsets import _atoms, count_symmetric_sets, enumerate_symmetric_sets
+from integra.symsets import count_symmetric_sets, enumerate_symmetric_sets
 
 
 def _brute_sets(g, k):
@@ -25,8 +25,10 @@ def test_atoms_partition_the_non_identity_elements():
         imported = from_table(relabelled_document(g, rng)[0])
         assert imported.identity != 0, name
         for h in (g, imported):
-            atoms = _atoms(h)
-            assert atoms == sorted(atoms), name
+            atoms = h._atoms
+            # Built once per group object, and kept for every later stream.
+            assert atoms is h._atoms, name
+            assert list(atoms) == sorted(atoms), name
             members = sorted(x for atom in atoms for x in atom)
             assert members == [x for x in range(h.order) if x != h.identity], name
             for atom in atoms:
@@ -35,7 +37,7 @@ def test_atoms_partition_the_non_identity_elements():
                 else:
                     x, y = atom
                     assert x < y and h.inv[x] == y, (name, atom)
-    sizes = [len(atom) for atom in _atoms(construct("quaternion"))]
+    sizes = [len(atom) for atom in construct("quaternion")._atoms]
     assert (sizes.count(1), sizes.count(2)) == (1, 3)
 
 
@@ -67,7 +69,7 @@ def test_counts_match_enumeration():
             assert count == len(list(enumerate_symmetric_sets(g, k))), (name, k)
         # Every set of size at most n - 1, as G_{n-1} scans them: 2^(#atoms) - 1.
         cum = sum(count_symmetric_sets(g, k) for k in range(1, g.order))
-        assert cum == 2 ** len(_atoms(g)) - 1, name
+        assert cum == 2 ** len(g._atoms) - 1, name
 
 
 def test_size_must_be_positive():
