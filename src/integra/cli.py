@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields
 from functools import cache
@@ -47,10 +48,23 @@ def _load_group(args: argparse.Namespace) -> FiniteGroup:
     return _load_document(Path(args.file))
 
 
+_DECIMAL = re.compile(r"\s*-?[0-9]+\s*", re.ASCII)
+
+
+def decimal(text: str) -> int:
+    """An integer in ASCII decimal digits, with an optional leading "-" and
+    spaces around it: --k and each --set-indices token. int() alone would
+    also take "1_0" and the digits of other scripts. argparse names a type
+    by its function, so a bad --k reads "invalid decimal value"."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _resolve_set(g: FiniteGroup, args: argparse.Namespace) -> tuple[int, ...]:
     if args.set_indices is not None:
         try:
-            return tuple(int(tok) for tok in args.set_indices.split(",") if tok.strip())
+            return tuple(decimal(tok) for tok in args.set_indices.split(",") if tok.strip())
         except ValueError:
             raise ValueError(f"bad --set-indices value: {args.set_indices!r}")
     return tuple(parse_word(g, w) for w in args.set_words.split(",") if w.strip())
@@ -170,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="A_k or G_k membership by exhaustive scan")
     _add_group_source(p)
     p.add_argument("--class", dest="cls", choices=("A", "G"), required=True)
-    p.add_argument("--k", type=int, required=True, help="valency bound, at least 1")
+    p.add_argument("--k", type=decimal, required=True, help="valency bound, at least 1")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_classify)
 
@@ -183,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="classify every ftg-1 file in a directory")
     p.add_argument("--dir", required=True, help="directory of ftg-1 JSON files")
-    p.add_argument("--k", type=int, required=True, help="valency bound, at least 1")
+    p.add_argument("--k", type=decimal, required=True, help="valency bound, at least 1")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_census)
 

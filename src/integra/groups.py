@@ -329,7 +329,7 @@ def _parse_perm_gens(n: int, text: str) -> list[tuple[int, ...]]:
         perm = tuple(range(n))
         saw = False
         while pos < len(chunk):
-            m = re.match(r"\((\d+(?:,\d+)*)\)", chunk[pos:])
+            m = re.match(r"\(([0-9]+(?:,[0-9]+)*)\)", chunk[pos:])
             if not m:
                 raise ValueError(f"malformed cycle notation at {chunk[pos:]!r}")
             pts = [int(x) - 1 for x in m.group(1).split(",")]
@@ -406,16 +406,16 @@ def _construct_term(term: str) -> FiniteGroup:
         base_spec, *idx = _split_terms(term[4:-1], "@")
         if not idx:
             return generalized_dicyclic(construct(base_spec))
-        if len(idx) > 1 or not re.fullmatch(r"\d+", idx[0]):
+        if len(idx) > 1 or not re.fullmatch(r"[0-9]+", idx[0]):
             raise ValueError(f"bad involution index in {term!r}")
         return generalized_dicyclic(construct(base_spec), int(idx[0]))
-    m = re.fullmatch(r"(?:sym|alt|perm):(\d+)(?::.*)?", term, re.S)
+    m = re.fullmatch(r"(?:sym|alt|perm):([0-9]+)(?::.*)?", term, re.S)
     if m and int(m.group(1)) > ORDER_BOUND:
         raise ValueError(f"permutation degree exceeds {ORDER_BOUND}")
-    m = re.fullmatch(r"(cyclic|dihedral|sym|alt):(\d+)", term)
+    m = re.fullmatch(r"(cyclic|dihedral|sym|alt):([0-9]+)", term)
     if m:
         return _NUMBERED[m.group(1)](int(m.group(2)))
-    m = re.fullmatch(r"perm:(\d+):(.+)", term)
+    m = re.fullmatch(r"perm:([0-9]+):(.+)", term)
     if m:
         n = int(m.group(1))
         return perm_group(n, _parse_perm_gens(n, m.group(2)), term)
@@ -715,7 +715,7 @@ def parse_word(g: FiniteGroup, word: str) -> int:
     gm = dict(g.gens)
     acc = g.identity
     for tok in tokens:
-        m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?", tok)
+        m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?[0-9]+))?", tok)
         if not m:
             raise ValueError(f"malformed word token {tok!r}")
         nm = m.group(1)

@@ -133,7 +133,10 @@ def _multiplicities(n: int, at_e: list[int]) -> dict[int, int]:
 
 
 # Valency from which one sum per column beats a chain of map(add) passes in
-# _neighbour_sums.
+# _neighbour_sums. Either path alone is slower: an in-process round of the
+# benchmark's query workload (seed 2001, median of ten interleaved rounds,
+# Python 3.11 on a 2-vCPU machine) took 0.609 s with both, 0.667 s with the
+# sums alone and 0.725 s with map(add) alone.
 _SUM_FROM = 6
 
 

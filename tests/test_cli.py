@@ -422,6 +422,22 @@ def _readme_section(title):
     return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
+def test_readme_worst_cases_are_the_ci_rows():
+    # Each row of README's "Worst cases" table with a timeout is one expect
+    # line of the CI step, in the same order, with the same name, exit code
+    # and timeout; the open rows have none.
+    ci = (SRC.parent / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    expect_lines = re.findall(r"^ *expect (\d+) (\d+) (\w+) --", ci, re.M)
+    lines = _readme_section("Worst cases").splitlines()
+    rows = [[c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+            for line in lines if line.startswith("| ")][2:]
+    assert all(len(row) == 6 for row in rows), rows
+    in_ci = [(exit_code, timeout, name) for name, _, _, exit_code, timeout, _ in rows
+             if timeout != "-"]
+    assert in_ci == expect_lines
+    assert [row[0] for row in rows if row[4] == "-"] == ["open", "open"]
+
+
 def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):
     # The three example specs of "Construction specs" fill groups/, which the
     # census example reads; every "integra ..." line of "Command line" then

@@ -373,6 +373,14 @@ def test_inverting_semidirect_over_an_imported_table(spec, m):
     assert order_counts(h) == order_counts(ref)
 
 
+def test_inverting_semidirect_needs_an_abelian_base_and_an_even_factor():
+    with pytest.raises(ValueError, match="^base of the semidirect product must be abelian$"):
+        inverting_semidirect(construct("sym:3"), 2)
+    for m in (0, 3):
+        with pytest.raises(ValueError, match="^acting cyclic factor must have even order$"):
+            inverting_semidirect(cyclic(4), m)
+
+
 def test_from_table_rejects_oversized_order_quickly():
     n = ORDER_BOUND + 1
     doc = {"format": "ftg-1", "order": n, "identity": 0,
@@ -567,6 +575,9 @@ def test_closure_contract_on_relabelled_imports():
             assert set(gens) <= members
             assert all(g.mul(a, b) in members for a in sub for b in sub)
             assert g.order % len(sub) == 0
+        for bad in (-1, g.order):
+            with pytest.raises(ValueError, match=f"^element index {bad} out of range$"):
+                closure(g, (1, bad))
 
 
 def test_parse_word_evaluation():
@@ -584,8 +595,17 @@ def test_parse_word_errors():
     g = dihedral(8)
     with pytest.raises(ValueError):
         parse_word(g, "c")
+    with pytest.raises(ValueError, match="^unknown generator 'c' in dihedral:8$"):
+        g.gen("c")
     with pytest.raises(ValueError):
         parse_word(g, "a^x")
+    for word in ("", "  ", " * "):
+        with pytest.raises(ValueError, match="^empty generator word$"):
+            parse_word(g, word)
+    # An exponent is ASCII decimal: no digits of other scripts, no "_".
+    for word in ("a^\u0661", "a^\uff13", "a^1_0", "b*a^-\u0663"):
+        with pytest.raises(ValueError, match="^malformed word token"):
+            parse_word(g, word)
 
 
 @pytest.mark.parametrize(

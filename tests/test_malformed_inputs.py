@@ -46,6 +46,15 @@ SPEC_ERRORS = {
     "perm:3:(1,4)": "cycle (1,4) leaves points 1..3",
     "perm:3:(1,2);": "empty permutation generator",
     "cyclic:4)": "unbalanced parentheses in 'cyclic:4)'",
+    # Numbers in a spec are ASCII decimals: \d would also match the digits
+    # of other scripts, which int() reads.
+    "cyclic:\u0663": "cannot parse group spec 'cyclic:\u0663'",
+    "dihedral:\uff18": "cannot parse group spec 'dihedral:\uff18'",
+    "sym:\u0663": "cannot parse group spec 'sym:\u0663'",
+    "alt:1_0": "cannot parse group spec 'alt:1_0'",
+    "perm:\u0663:(1,2)": "cannot parse group spec 'perm:\u0663:(1,2)'",
+    "perm:3:(\u0661,2)": "malformed cycle notation at '(\u0661,2)'",
+    "dic(cyclic:2 x cyclic:4@\u0661)": "bad involution index in 'dic(cyclic:2 x cyclic:4@\u0661)'",
 }
 DOC_SPECS = ("cyclic:6", "sym:3", "quaternion", "dihedral:12")
 SPECTRUM_GROUP = "dihedral:8"
@@ -132,14 +141,16 @@ def _bad_documents(rng):
 
 def _bad_set_indices(rng):
     n = construct(SPECTRUM_GROUP).order
+    # int() alone would read "1_0" as 10 and "\u0661" (Arabic-Indic one) as 1.
     out = ["a", "1.5", "0x3", "1;2", "2,,x", "--", "1 2", "9" * 5000,
+           "1_0,2", "\u0661", "2,\u0663", "\uff13", "+1",
            "0", "1", "2,2", str(n), str(-1), str(10**12)]
     for _ in range(10):
         out.append(",".join(str(rng.randrange(n, 10 * n)) for _ in range(rng.randrange(1, 4))))
     return out
 
 
-BAD_K = ("0", "-1", "-40", "abc", "1.5", "", "3x", "1e2", "0x3")
+BAD_K = ("0", "-1", "-40", "abc", "1.5", "", "3x", "1e2", "0x3", "1_0", "\u0661", "\uff13", "+2")
 
 
 def _run(capsys, argv):

@@ -31,6 +31,8 @@ def test_add_sub_pow():
     assert p.coeffs == (1, 2, 1)
     assert p ** 0 == IntPolynomial((1,))
     assert (IntPolynomial((-2, 1)) ** 3).coeffs == (-8, 12, -6, 1)
+    with pytest.raises(ValueError, match="^negative polynomial power$"):
+        p ** -1
 
 
 def test_divmod_exact():
@@ -48,6 +50,10 @@ def test_divmod_with_remainder():
     q, r = p.divmod_by(d)
     assert q.coeffs == (-1, 1)
     assert r.coeffs == (2,)
+    # A dividend of lower degree than the divisor, zero included, is its
+    # own remainder.
+    for low in (d, IntPolynomial((5,)), IntPolynomial(())):
+        assert low.divmod_by(p) == (IntPolynomial(()), low)
 
 
 def test_divmod_requires_monic():
