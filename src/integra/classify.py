@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import chain
 
 from .groups import (
     FiniteGroup,
@@ -13,7 +14,7 @@ from .groups import (
     is_nilpotent,
 )
 from .spectra import is_integral
-from .symsets import symmetric_sets_by_orbit
+from .symsets import enumerate_symmetric_sets, symmetric_sets_by_orbit
 
 @dataclass(frozen=True)
 class MembershipReport:
@@ -25,6 +26,15 @@ class MembershipReport:
     witness included: for A_k its position among the sets of size k, for
     G_k every set of the smaller sizes plus its position in its own size.
     vacuous means that the scan had no set to visit.
+
+    A scan reads each size from a per-size record of the group: the first
+    failing set of that size's stream, or None, and the sets visited up to
+    it. A size missing from the record is scanned once and added. verify's
+    run_all and the CLI's census share the records for one call, so their
+    A_k and G_k scans of one group object run each size's stream once.
+    A set of size j with 2j > n - 1 is valued by its complement, of size
+    n - 1 - j: once that size has no failure, the size-j stream is still
+    visited, to count it, but no set of it is valued again.
     """
 
     group_id: str
@@ -37,15 +47,57 @@ class MembershipReport:
     sets_checked: int
 
 
+# Size j -> (the first failing set of the size-j stream or None, the sets
+# visited up to it, that set included).
+_Record = dict[int, tuple[tuple[int, ...] | None, int]]
+
+# While open, id(g) -> (g, its record). The entry holds g, so that no other
+# object takes its id while the entry lives.
+_SHARED: ContextVar[dict[int, tuple[FiniteGroup, _Record]] | None] = ContextVar(
+    "_SHARED", default=None
+)
+
+
+@contextmanager
+def _shared_records():
+    """Share per-size records among the scans of the block, and drop them at its end."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _fill(g: FiniteGroup, record: _Record, j: int) -> None:
+    c = g.order - 1 - j
+    # Each set of size j is the complement of one of size c, and the two
+    # Cayley graphs are integral together: is_integral walks the size-c
+    # side, so once every set of size c passed, none of size j needs a value.
+    # The size-0 side is the empty set, whose graph has no edges.
+    if c < j and (c == 0 or (c in record and record[c][0] is None)):
+        record[j] = None, sum(1 for _ in enumerate_symmetric_sets(g, j))
+        return
+    witness, checked = None, 0
+    for checked, (s, integral) in enumerate(symmetric_sets_by_orbit(g, j, is_integral), 1):
+        if not integral:
+            witness = s
+            break
+    record[j] = witness, checked
+
+
 def _scan(g: FiniteGroup, k: int, cls: str) -> MembershipReport:
     if k < 1:
         raise ValueError("k must be at least 1")
+    shared = _SHARED.get()
+    record = {} if shared is None else shared.setdefault(id(g), (g, {}))[1]
     sizes = (k,) if cls == "A" else range(1, min(k, g.order - 1) + 1)
     witness, checked = None, 0
-    scans = (symmetric_sets_by_orbit(g, j, is_integral) for j in sizes)
-    for checked, (s, integral) in enumerate(chain.from_iterable(scans), 1):
-        if not integral:
-            witness = s
+    for j in sizes:
+        if j not in record:
+            _fill(g, record, j)
+        witness, visited = record[j]
+        checked += visited
+        if witness is not None:
             break
     return MembershipReport(
         group_id=g.label,

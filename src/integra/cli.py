@@ -10,7 +10,7 @@ from dataclasses import fields
 from functools import cache
 from pathlib import Path
 
-from .classify import in_A_k, in_G_k
+from .classify import _shared_records, in_A_k, in_G_k
 from .groups import FiniteGroup, construct, from_table, parse_word, to_document
 from .polys import IntPolynomial
 from .spectra import is_integral_cayley
@@ -139,7 +139,8 @@ def _cmd_census(args: argparse.Namespace) -> _Outcome:
     reports = []
     for path in sorted(root.glob("*.json")):
         g = _load_document(path)
-        reports += [in_A_k(g, args.k), in_G_k(g, args.k)]
+        with _shared_records():
+            reports += [in_A_k(g, args.k), in_G_k(g, args.k)]
     table = [
         f"{rep.group_id}: {rep.cls}_{rep.k} {'member' if rep.member else 'non-member'}"
         for rep in reports

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .classify import (
+    _shared_records,
     a2_structural,
     a3_structural,
     g3_structural,
@@ -454,11 +455,15 @@ def run_claim(claim_id: str) -> ClaimResult:
 
 
 def run_all(claim_filter: str | None = None) -> list[ClaimResult]:
-    """Run every claim whose id matches the filter exactly, else by prefix."""
+    """Run every claim whose id matches the filter exactly, else by prefix.
+
+    Their A_k and G_k scans share each group's per-size record until the
+    call ends."""
     if claim_filter is None:
         chosen = list(_CLAIMS)
     elif claim_filter in _CLAIMS:
         chosen = [claim_filter]
     else:
         chosen = [i for i in _CLAIMS if i.startswith(claim_filter)]
-    return [run_claim(i) for i in chosen]
+    with _shared_records():
+        return [run_claim(i) for i in chosen]

@@ -127,8 +127,9 @@ def test_stream_values_each_set_once_by_an_automorphic_image(monkeypatch):
     assert len(sets) == 511 and len({orbit(g, s) for s in sets}) == 65 and len(autos) == 192
     assert len(calls) == 12 + 60
     assert sum(len(_assert_values(g, k, orbit)) for k in range(1, 16)) == 12 + 60
-    # So does the first G_15 scan of another fresh copy: Q8xZ2 is in G_15,
-    # so the scan visits every set.
+    # The first G_15 scan of another fresh copy visits every set, as Q8xZ2
+    # is in G_15, but values only sizes 1..7 the same way: a set of size
+    # j >= 8 is the complement of one of size 15 - j <= 7, which passed.
     real_is_integral, verdicts = integra.classify.is_integral, []
 
     def counting_is_integral(group, s):
@@ -137,7 +138,11 @@ def test_stream_values_each_set_once_by_an_automorphic_image(monkeypatch):
 
     monkeypatch.setattr(integra.classify, "is_integral", counting_is_integral)
     rep = in_G_k(replace(g), 15)
-    assert rep.member and rep.sets_checked == 511 and len(verdicts) == 12 + 60
+    small = [s for k in (1, 2) for s in enumerate_symmetric_sets(g, k)]
+    orbits = {orbit(g, s) for k in range(3, 8) for s in enumerate_symmetric_sets(g, k)}
+    assert rep.member and rep.sets_checked == 511
+    assert len(verdicts) == len(small) + len(orbits)
+    assert max(map(len, verdicts)) == 7
 
 
 @pytest.mark.parametrize(
