@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groups import (
     FiniteGroup,
@@ -14,27 +14,26 @@ from .groups import (
     is_nilpotent,
 )
 from .spectra import is_integral
-from .symsets import enumerate_symmetric_sets, symmetric_sets_by_orbit
+from .symsets import count_symmetric_sets, symmetric_sets_by_orbit
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     """One A_k or G_k scan of the group labelled group_id.
 
     A_k scans the sets of size k, and G_k sizes 1..min(k, n - 1) in turn,
     each size in lexicographic order, up to the first non-integral set: the
-    witness, None for a member. sets_checked counts the sets visited, the
-    witness included: for A_k its position among the sets of size k, for
-    G_k every set of the smaller sizes plus its position in its own size.
-    vacuous means that the scan had no set to visit.
+    witness, None for a member. sets_checked counts the sets the scan
+    covers, the witness included: for A_k its position among the sets of
+    size k, for G_k every set of the smaller sizes plus its position in its
+    own size. vacuous means that the scan had no set to cover.
 
     A scan reads each size from a per-size record of the group: the first
-    failing set of that size's stream, or None, and the sets visited up to
-    it. A size missing from the record is scanned once and added. verify's
+    failing set of that size's stream, or None, and the sets covered up to
+    it. A size missing from the record is filled once and added. verify's
     run_all and the CLI's census share the records for one call, so their
-    A_k and G_k scans of one group object run each size's stream once.
-    A set of size j with 2j > n - 1 is valued by its complement, of size
-    n - 1 - j: once that size has no failure, the size-j stream is still
-    visited, to count it, but no set of it is valued again.
+    A_k and G_k scans of one group object fill each size once. A set of
+    size j with 2j > n - 1 is valued by its complement, of size n - 1 - j:
+    once that size has no failure, size j opens no stream. Its sets are
+    counted by count_symmetric_sets's closed form, and none is valued again.
     """
 
     group_id: str
@@ -48,7 +47,7 @@ class MembershipReport:
 
 
 # Size j -> (the first failing set of the size-j stream or None, the sets
-# visited up to it, that set included).
+# covered up to it, that set included).
 _Record = dict[int, tuple[tuple[int, ...] | None, int]]
 
 # While open, id(g) -> (g, its record). The entry holds g, so that no other
@@ -72,10 +71,11 @@ def _fill(g: FiniteGroup, record: _Record, j: int) -> None:
     c = g.order - 1 - j
     # Each set of size j is the complement of one of size c, and the two
     # Cayley graphs are integral together: is_integral walks the size-c
-    # side, so once every set of size c passed, none of size j needs a value.
-    # The size-0 side is the empty set, whose graph has no edges.
+    # side, so once every set of size c passed, none of size j needs a value,
+    # and the size is counted by its closed form. The size-0 side is the
+    # empty set, whose graph has no edges.
     if c < j and (c == 0 or (c in record and record[c][0] is None)):
-        record[j] = None, sum(1 for _ in enumerate_symmetric_sets(g, j))
+        record[j] = None, count_symmetric_sets(g, j)
         return
     witness, checked = None, 0
     for checked, (s, integral) in enumerate(symmetric_sets_by_orbit(g, j, is_integral), 1):

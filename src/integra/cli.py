@@ -6,15 +6,14 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import fields
 from functools import cache
 from pathlib import Path
 
-from .classify import _shared_records, in_A_k, in_G_k
 from .groups import FiniteGroup, construct, from_table, parse_word, to_document
 from .polys import IntPolynomial
-from .spectra import is_integral_cayley
-from .verify import list_claims, run_all
+
+# classify, spectra and verify are imported by the commands that run them,
+# so that a command loads only its own modules.
 
 
 def _canonical(obj) -> str:
@@ -26,7 +25,7 @@ _JSON_KEYS = {"group_id": "group", "cls": "class"}
 
 def _report_to_dict(rep) -> dict:
     """A spectrum or membership report as JSON-ready fields, polynomials as coefficients."""
-    doc = {_JSON_KEYS.get(f.name, f.name): getattr(rep, f.name) for f in fields(rep)}
+    doc = {_JSON_KEYS.get(name, name): value for name, value in zip(rep._fields, rep)}
     return {k: v.coeffs if isinstance(v, IntPolynomial) else v for k, v in doc.items()}
 
 
@@ -84,6 +83,8 @@ def _cmd_construct(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> _Outcome:
+    from .spectra import is_integral_cayley
+
     g = _load_group(args)
     ok, rep = is_integral_cayley(g, _resolve_set(g, args))
     eig = ", ".join(f"{v} (x{m})" for v, m in rep.eigenvalues)
@@ -98,6 +99,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_classify(args: argparse.Namespace) -> _Outcome:
+    from .classify import in_A_k, in_G_k
+
     g = _load_group(args)
     rep = in_A_k(g, args.k) if args.cls == "A" else in_G_k(g, args.k)
     verdict = "member" if rep.member else "non-member"
@@ -112,6 +115,8 @@ def _cmd_classify(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Outcome:
+    from .verify import list_claims, run_all
+
     claim_filter = None if args.all else args.claim
     if claim_filter == "":
         raise ValueError("empty --claim value")
@@ -131,6 +136,8 @@ def _cmd_verify(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_census(args: argparse.Namespace) -> _Outcome:
+    from .classify import _shared_records, in_A_k, in_G_k
+
     if args.k < 1:
         raise ValueError("k must be at least 1")
     root = Path(args.dir)
@@ -209,7 +216,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command: its JSON document to stdout with --json or with
     neither flag, its table lines to stderr with --table (verify prints
     them with neither flag too); exit 0 or 1 from its verdict, 2 on an
-    input error."""
+    input error or when memory or the recursion limit runs out, which
+    leaves no verdict."""
     args = _build_parser().parse_args(argv)
     if not args.json and not args.table:
         args.json, args.table = True, args.command == "verify"
@@ -222,6 +230,10 @@ def main(argv: list[str] | None = None) -> int:
                 print(line, file=sys.stderr)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, RecursionError) as exc:
+        short = "out of memory" if isinstance(exc, MemoryError) else "recursion limit reached"
+        print(f"error: {args.command}: {short}", file=sys.stderr)
         return 2
     return 0 if ok else 1
 

@@ -4,30 +4,55 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from collections.abc import Iterator
 from functools import cached_property, lru_cache, reduce
 from math import gcd
 from operator import add, eq, itemgetter
-from typing import Iterator
 
 ORDER_BOUND = 500
 
 
-@dataclass(frozen=True)
 class FiniteGroup:
     """A finite group on element indices 0..order-1 with an explicit table.
 
     table[i][j] is the index of the product of elements i and j; identity is
-    almost always 0 (imported tables may designate another index).
+    almost always 0 (imported tables may designate another index). Two
+    groups are equal, and hash alike, when their seven fields are; the
+    values cached per object take no part.
     """
 
-    order: int
-    identity: int
-    table: tuple[tuple[int, ...], ...]
-    inv: tuple[int, ...]
-    names: tuple[str, ...]
-    gens: tuple[tuple[str, int], ...]
-    label: str
+    def __init__(
+        self,
+        order: int,
+        identity: int,
+        table: tuple[tuple[int, ...], ...],
+        inv: tuple[int, ...],
+        names: tuple[str, ...],
+        gens: tuple[tuple[str, int], ...],
+        label: str,
+    ):
+        self.order = order
+        self.identity = identity
+        self.table = table
+        self.inv = inv
+        self.names = names
+        self.gens = gens
+        self.label = label
+
+    def _key(self) -> tuple:
+        return self.order, self.identity, self.table, self.inv, self.names, self.gens, self.label
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ("order", "identity", "table", "inv", "names", "gens", "label")
+        return f"FiniteGroup({', '.join(f'{f}={v!r}' for f, v in zip(fields, self._key()))})"
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
@@ -313,11 +338,14 @@ def quaternion() -> FiniteGroup:
     and x renamed i and j."""
     g = generalized_dicyclic(cyclic(4))
     rename = str.maketrans("ax", "ij")
-    return replace(
-        g,
-        names=tuple(nm.translate(rename) for nm in g.names),
-        gens=(("i", g.gen("a")), ("j", g.gen("x"))),
-        label="quaternion",
+    return FiniteGroup(
+        g.order,
+        g.identity,
+        g.table,
+        g.inv,
+        tuple(nm.translate(rename) for nm in g.names),
+        (("i", g.gen("a")), ("j", g.gen("x"))),
+        "quaternion",
     )
 
 

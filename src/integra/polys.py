@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 def _trim(coeffs: list[int]) -> tuple[int, ...]:
     n = len(coeffs)
@@ -12,15 +10,29 @@ def _trim(coeffs: list[int]) -> tuple[int, ...]:
     return tuple(coeffs[:n])
 
 
-@dataclass(frozen=True)
 class IntPolynomial:
     """Polynomial with big-integer coefficients, coeffs[i] multiplying x**i.
 
     The zero polynomial is the empty coefficient tuple; any other value has a
-    nonzero leading coefficient.
+    nonzero leading coefficient. Two polynomials are equal, and hash alike,
+    when their coefficients are.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"IntPolynomial(coeffs={self.coeffs!r})"
 
     @property
     def degree(self) -> int:

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import factorial
 from operator import add
+from typing import NamedTuple
 
 from .groups import FiniteGroup, closure
 from .polys import IntPolynomial
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Integer part of a spectrum, the leftover factor, and component data."""
+class SpectrumReport(NamedTuple):
+    """Integer part of a spectrum, the leftover factor, and component data.
+
+    The index field, the index of the subgroup that S generates, shadows
+    the tuple method of that name.
+    """
 
     n: int
     degree: int

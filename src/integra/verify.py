@@ -7,8 +7,7 @@ it returns (passed, evidence). Declaration order is id order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .classify import (
     _shared_records,
@@ -37,8 +36,7 @@ from .spectra import char_poly, is_integral, is_integral_cayley
 from .symsets import count_symmetric_sets, symmetric_sets_by_orbit
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """One verifiable computational statement with a mathematical anchor."""
 
     id: str
@@ -46,8 +44,7 @@ class Claim:
     anchor: str
 
 
-@dataclass
-class ClaimResult:
+class ClaimResult(NamedTuple):
     """Outcome of one claim run; evidence is JSON-ready and deterministic."""
 
     id: str

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from oracles import order_counts
 
+import integra.classify
 from integra import verify
 from integra.cli import main
 from integra.groups import construct, from_table, to_document
@@ -159,6 +160,54 @@ def test_non_ascii_names_read_as_utf8_under_c_locale(tmp_path):
     )
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout)["witness_words"] == ["\u00e9", "\u00e9^4"]
+
+
+# Runs the CLI on argv[2:], if any, with src at argv[1], then prints the
+# names of the loaded modules to stderr as its last line.
+_LOADED_MODULES = """import json, sys
+sys.path.insert(0, sys.argv[1])
+from integra.cli import main
+if sys.argv[2:]:
+    main(sys.argv[2:])
+print(json.dumps(sorted(sys.modules)), file=sys.stderr)
+"""
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    # -I -S: the standard library alone, as in CI; -B writes no bytecode.
+    def loaded(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-B", "-c", _LOADED_MODULES, str(SRC), *argv],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(json.loads(proc.stderr.splitlines()[-1]))
+
+    assert not {"dataclasses", "inspect", "typing"} & loaded()
+    spectrum = loaded("spectrum", "--spec", "dihedral:8", "--set-indices", "2,3,5", "--json")
+    assert "integra.spectra" in spectrum
+    assert not {"integra.classify", "integra.verify"} & spectrum
+    doc = json.dumps(to_document(construct("quaternion")))
+    (tmp_path / "q8.json").write_text(doc, encoding="utf-8")
+    census = loaded("census", "--dir", str(tmp_path), "--k", "2", "--json")
+    assert "integra.classify" in census
+    assert "integra.verify" not in census
+
+
+@pytest.mark.parametrize(
+    ("error", "message"),
+    ((MemoryError, "out of memory"), (RecursionError, "recursion limit reached")),
+)
+def test_a_resource_failure_is_not_a_verdict(capsys, monkeypatch, error, message):
+    # Exit 1 would read as "non-member"; a scan that ran out has no verdict.
+    def exhausted(*args):
+        raise error
+
+    monkeypatch.setattr(integra.classify, "symmetric_sets_by_orbit", exhausted)
+    code, out, err = run_cli(
+        capsys, "classify", "--spec", "dihedral:8", "--class", "A", "--k", "3", "--json"
+    )
+    assert (code, out, err) == (2, "", f"error: classify: {message}\n")
 
 
 def test_verify_single_claim(capsys):

@@ -2,7 +2,6 @@
 
 import json
 import random
-from dataclasses import replace
 
 import pytest
 from oracles import automorphisms, plain_cubic_census, plain_scan, relabelled_document
@@ -14,7 +13,7 @@ import integra.symsets
 import integra.verify
 from integra.classify import in_A_k, in_G_k
 from integra.cli import main
-from integra.groups import catalog_groups, construct, from_table
+from integra.groups import FiniteGroup, catalog_groups, construct, from_table
 from integra.symsets import enumerate_symmetric_sets, symmetric_sets_by_orbit
 from test_classify import SWEPT_SPECS, _swept
 
@@ -108,9 +107,14 @@ def _assert_values(g, k, value):
     return calls
 
 
+def _fresh(g):
+    """A new object equal to g, so none of g's cached values carries over."""
+    return FiniteGroup(g.order, g.identity, g.table, g.inv, g.names, g.gens, g.label)
+
+
 def test_stream_values_each_set_once_by_an_automorphic_image(monkeypatch):
     # A fresh copy, so that the first scan meets a search not yet run.
-    g = replace(construct("quaternion x cyclic:2"))
+    g = _fresh(construct("quaternion x cyclic:2"))
     autos = automorphisms(g)
 
     # A set's whole orbit is invariant under Aut(G), and a value handed on
@@ -137,7 +141,7 @@ def test_stream_values_each_set_once_by_an_automorphic_image(monkeypatch):
         return real_is_integral(group, s)
 
     monkeypatch.setattr(integra.classify, "is_integral", counting_is_integral)
-    rep = in_G_k(replace(g), 15)
+    rep = in_G_k(_fresh(g), 15)
     small = [s for k in (1, 2) for s in enumerate_symmetric_sets(g, k)]
     orbits = {orbit(g, s) for k in range(3, 8) for s in enumerate_symmetric_sets(g, k)}
     assert rep.member and rep.sets_checked == 511
@@ -175,7 +179,7 @@ def test_scans_over_large_automorphism_groups_match_plain_scans(spec, cls, k):
 )
 def test_search_runs_once_per_group_object(monkeypatch, spec, witness, checked):
     # A fresh copy, so that the search starts from nothing.
-    g = replace(construct(spec))
+    g = _fresh(construct(spec))
     real_forced_map, real_is_integral = integra.groups._forced_map, integra.classify.is_integral
     forced = verdicts = 0
 

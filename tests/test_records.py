@@ -18,7 +18,7 @@ from test_classify import SWEPT_SPECS, _swept
 def _count_streams(monkeypatch):
     """Count the size-j streams that classify opens, per (group object, j):
     valued ones through symmetric_sets_by_orbit, counted ones through
-    enumerate_symmetric_sets."""
+    count_symmetric_sets."""
     opened = Counter()
 
     def counting(real):
@@ -28,7 +28,7 @@ def _count_streams(monkeypatch):
 
         return stream
 
-    for name in ("symmetric_sets_by_orbit", "enumerate_symmetric_sets"):
+    for name in ("symmetric_sets_by_orbit", "count_symmetric_sets"):
         monkeypatch.setattr(integra.classify, name, counting(getattr(integra.classify, name)))
     return opened
 

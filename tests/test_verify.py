@@ -1,6 +1,5 @@
 """Claims catalog tests."""
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -23,7 +22,7 @@ def test_registry_shape():
     assert all(c.description for c in claims)
     # The metadata must not drift: tests/data/claims.json pins all of it.
     pinned = json.loads((ROOT / "tests" / "data" / "claims.json").read_text(encoding="utf-8"))
-    assert [list(dataclasses.astuple(c)) for c in claims] == pinned
+    assert [list(c) for c in claims] == pinned
 
 
 def test_unknown_claim_rejected():
