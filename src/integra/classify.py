@@ -58,7 +58,7 @@ _SHARED: ContextVar[dict[int, tuple[FiniteGroup, _Record]] | None] = ContextVar(
 
 
 @contextmanager
-def _shared_records():
+def shared_records():
     """Share per-size records among the scans of the block, and drop them at its end."""
     token = _SHARED.set({})
     try:

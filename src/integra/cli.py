@@ -136,7 +136,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_census(args: argparse.Namespace) -> _Outcome:
-    from .classify import _shared_records, in_A_k, in_G_k
+    from .classify import in_A_k, in_G_k, shared_records
 
     if args.k < 1:
         raise ValueError("k must be at least 1")
@@ -146,7 +146,7 @@ def _cmd_census(args: argparse.Namespace) -> _Outcome:
     reports = []
     for path in sorted(root.glob("*.json")):
         g = _load_document(path)
-        with _shared_records():
+        with shared_records():
             reports += [in_A_k(g, args.k), in_G_k(g, args.k)]
     table = [
         f"{rep.group_id}: {rep.cls}_{rep.k} {'member' if rep.member else 'non-member'}"

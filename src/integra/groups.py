@@ -334,19 +334,11 @@ def generalized_dicyclic(a_grp: FiniteGroup, y: int | None = None) -> FiniteGrou
 
 
 def quaternion() -> FiniteGroup:
-    """The quaternion group of order 8, built as Dic(Z4) with its generators a
-    and x renamed i and j."""
-    g = generalized_dicyclic(cyclic(4))
-    rename = str.maketrans("ax", "ij")
-    return FiniteGroup(
-        g.order,
-        g.identity,
-        g.table,
-        g.inv,
-        tuple(nm.translate(rename) for nm in g.names),
-        (("i", g.gen("a")), ("j", g.gen("x"))),
-        "quaternion",
-    )
+    """The quaternion group of order 8, built as Dic(Z4) over a Z4 generated
+    by i, with j as the new generator: j^2 = i^2 and j^-1 i j = i^-1."""
+    z4 = _build(0, [("i", 1)], lambda x, y: (x + y) % 4, "cyclic:4")
+    i = z4.gen("i")
+    return _inverting_extension(z4, 2, z4.mul(i, i), "j", "quaternion")
 
 
 def _parse_perm_gens(n: int, text: str) -> list[tuple[int, ...]]:

@@ -10,13 +10,13 @@ import time
 from typing import Callable, NamedTuple
 
 from .classify import (
-    _shared_records,
     a2_structural,
     a3_structural,
     g3_structural,
     in_A_k,
     in_G_k,
     nilpotent_g3_case,
+    shared_records,
 )
 from .groups import (
     FiniteGroup,
@@ -462,5 +462,5 @@ def run_all(claim_filter: str | None = None) -> list[ClaimResult]:
         chosen = [claim_filter]
     else:
         chosen = [i for i in _CLAIMS if i.startswith(claim_filter)]
-    with _shared_records():
+    with shared_records():
         return [run_claim(i) for i in chosen]

@@ -14,7 +14,9 @@ closures: each <x, y> told by its element-order counts against groups
 built from specs, and the lower central series. Every automorphism of a
 small group, each map of a generating set to elements of equal orders
 checked on the whole table. A plain membership
-scan that decides every connection set, with no automorphism orbits. An associativity check of a table over every triple,
+scan that decides every connection set, with no automorphism orbits, and
+keeps each size's result per group object. An associativity check of a
+table over every triple,
 and the checks of an imported table in their documented order with no
 shortcut. And a random relabelling of a group table, as an imported
 document would carry it.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 from collections import Counter
-from itertools import chain, product
+from itertools import product
 from math import gcd
 from operator import add
 
@@ -429,19 +431,40 @@ def _plain_verdict(g: FiniteGroup):
     return atom_integral if is_abelian(g) else fl_integral
 
 
+# id(g) -> (g, {size j: (the first set of size j that _plain_verdict finds
+# non-integral, or None, and the sets decided up to it, that set included)}).
+# The entry holds g, so that no other object takes its id.
+_PLAIN: dict[int, tuple[FiniteGroup, dict[int, tuple[tuple[int, ...] | None, int]]]] = {}
+
+
 # On _plain_verdict, so tests/test_orbits.py checks the walk verdict against
 # atoms on abelian groups and against FL on the rest.
+def _plain_size(g: FiniteGroup, j: int) -> tuple[tuple[int, ...] | None, int]:
+    """Size j of g decided set by set in enumeration order, once per group
+    object: its first non-integral set or None, and the sets decided."""
+    record = _PLAIN.setdefault(id(g), (g, {}))[1]
+    if j not in record:
+        integral = _plain_verdict(g)
+        witness, checked = None, 0
+        for checked, s in enumerate(enumerate_symmetric_sets(g, j), 1):
+            if not integral(g, s):
+                witness = s
+                break
+        record[j] = witness, checked
+    return record[j]
+
+
 def plain_scan(g: FiniteGroup, k: int, cls: str) -> MembershipReport:
     """A_k ("A") or G_k ("G") membership by deciding every set in enumeration
     order: size k for A_k, and sizes 1..k, up to n - 1, in turn for G_k."""
-    integral = _plain_verdict(g)
     sizes = [k] if cls == "A" else range(1, min(k, g.order - 1) + 1)
     checked = 0
-    for s in chain.from_iterable(enumerate_symmetric_sets(g, j) for j in sizes):
-        checked += 1
-        if not integral(g, s):
-            names = tuple(g.names[x] for x in s)
-            return MembershipReport(g.label, cls, k, False, False, s, names, checked)
+    for j in sizes:
+        witness, decided = _plain_size(g, j)
+        checked += decided
+        if witness is not None:
+            names = tuple(g.names[x] for x in witness)
+            return MembershipReport(g.label, cls, k, False, False, witness, names, checked)
     return MembershipReport(g.label, cls, k, True, checked == 0, None, None, checked)
 
 

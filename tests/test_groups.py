@@ -1,6 +1,7 @@
 """Group construction, invariants, and serialization tests."""
 
 import random
+import re
 import time
 from itertools import combinations
 
@@ -24,6 +25,7 @@ from integra.groups import (
     is_abelian,
     is_nilpotent,
     parse_word,
+    perm_group,
     quaternion,
     to_document,
 )
@@ -88,6 +90,20 @@ def test_permutation_names_use_cycle_notation():
     assert g.names[0] == "e"
     assert "(2,3,4)" in g.names
     assert "(1,2)(3,4)" in g.names
+
+
+# No spec reaches these checks: _parse_perm_gens refuses such input first.
+@pytest.mark.parametrize(
+    ("n", "perms", "message"),
+    (
+        (0, [], "permutation degree must be positive"),
+        (3, [(0, 1, 1)], "not a permutation of 0..2: (0, 1, 1)"),
+        (3, [(1, 0)], "not a permutation of 0..2: (1, 0)"),
+    ),
+)
+def test_perm_group_refuses_a_bad_degree_or_permutation(n, perms, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        perm_group(n, perms, "perm")
 
 
 def test_heisenberg_is_exponent_three():

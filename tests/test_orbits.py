@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from conftest import record_calls
 from oracles import automorphisms, plain_cubic_census, plain_scan, relabelled_document
 
 import integra.classify
@@ -134,19 +135,13 @@ def test_stream_values_each_set_once_by_an_automorphic_image(monkeypatch):
     # The first G_15 scan of another fresh copy visits every set, as Q8xZ2
     # is in G_15, but values only sizes 1..7 the same way: a set of size
     # j >= 8 is the complement of one of size 15 - j <= 7, which passed.
-    real_is_integral, verdicts = integra.classify.is_integral, []
-
-    def counting_is_integral(group, s):
-        verdicts.append(s)
-        return real_is_integral(group, s)
-
-    monkeypatch.setattr(integra.classify, "is_integral", counting_is_integral)
+    verdicts = record_calls(monkeypatch, integra.classify, "is_integral")
     rep = in_G_k(_fresh(g), 15)
     small = [s for k in (1, 2) for s in enumerate_symmetric_sets(g, k)]
     orbits = {orbit(g, s) for k in range(3, 8) for s in enumerate_symmetric_sets(g, k)}
     assert rep.member and rep.sets_checked == 511
     assert len(verdicts) == len(small) + len(orbits)
-    assert max(map(len, verdicts)) == 7
+    assert max(len(s) for _group, s in verdicts) == 7
 
 
 @pytest.mark.parametrize(
@@ -180,29 +175,16 @@ def test_scans_over_large_automorphism_groups_match_plain_scans(spec, cls, k):
 def test_search_runs_once_per_group_object(monkeypatch, spec, witness, checked):
     # A fresh copy, so that the search starts from nothing.
     g = _fresh(construct(spec))
-    real_forced_map, real_is_integral = integra.groups._forced_map, integra.classify.is_integral
-    forced = verdicts = 0
-
-    def counting_forced_map(*args):
-        nonlocal forced
-        forced += 1
-        return real_forced_map(*args)
-
-    def counting_is_integral(group, s):
-        nonlocal verdicts
-        verdicts += 1
-        return real_is_integral(group, s)
-
-    monkeypatch.setattr(integra.groups, "_forced_map", counting_forced_map)
-    monkeypatch.setattr(integra.classify, "is_integral", counting_is_integral)
+    forced = record_calls(monkeypatch, integra.groups, "_forced_map")
+    verdicts = record_calls(monkeypatch, integra.classify, "is_integral")
     rep = in_A_k(g, 3)
     assert (rep.witness, rep.sets_checked) == (witness, checked)
-    assert 0 < verdicts < checked
-    assert forced > 0
+    assert 0 < len(verdicts) < checked
+    assert forced
     assert rep == plain_scan(g, 3, "A")
     # A second scan of the same group object reuses the kept generators.
-    forced = 0
-    assert in_A_k(g, 3) == rep and forced == 0
+    del forced[:]
+    assert in_A_k(g, 3) == rep and not forced
 
 
 # The most _forced_map calls one Aut(G) search may make. The most any swept
@@ -230,18 +212,11 @@ def test_search_finishes_within_budget(monkeypatch, spec, imported):
     g = _swept(spec)
     if imported:
         g = from_table(relabelled_document(g, random.Random(spec))[0])
-    real_forced_map, forced = integra.groups._forced_map, 0
-
-    def counting_forced_map(*args):
-        nonlocal forced
-        forced += 1
-        return real_forced_map(*args)
-
-    monkeypatch.setattr(integra.groups, "_forced_map", counting_forced_map)
+    forced = record_calls(monkeypatch, integra.groups, "_forced_map")
     # The function itself, not the group's kept result: another test may
     # have run the search on this group object already.
     integra.groups._automorphism_generators(g)
-    assert 0 < forced <= SEARCH_BUDGET
+    assert 0 < len(forced) <= SEARCH_BUDGET
 
 
 def test_small_scans_never_compute_automorphisms(monkeypatch, capsys, tmp_path):

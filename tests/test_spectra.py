@@ -4,6 +4,7 @@ import random
 from math import gcd
 
 import pytest
+from conftest import record_calls
 from oracles import (
     atom_integral,
     cayley_rows,
@@ -167,19 +168,6 @@ def test_complement_route_matches_the_oracles_on_dense_sets():
     assert min(seen.values()) > 0, seen
 
 
-def _rows_walked(monkeypatch):
-    """Patch _sigma_step to record len(rows) at each call; returns the record."""
-    step = integra.spectra._sigma_step
-    walked = []
-
-    def counted(rows, *args):
-        walked.append(len(rows))
-        return step(rows, *args)
-
-    monkeypatch.setattr(integra.spectra, "_sigma_step", counted)
-    return walked
-
-
 @pytest.mark.parametrize("spec, s", [
     ("cyclic:1", ()),
     ("cyclic:2", (1,)),
@@ -211,11 +199,11 @@ def _rows_walked(monkeypatch):
 def test_complement_route_edge_cases(monkeypatch, spec, s):
     g = construct(spec)
     n, k = g.order, len(s)
-    walked = _rows_walked(monkeypatch)
+    steps = record_calls(monkeypatch, integra.spectra, "_sigma_step")
     rep = is_integral_cayley(g, s)[1]
     assert rep == rank_spectrum(g, s)
     assert is_integral(g, s) == fl_integral(g, s) == rep.integral
-    assert set(walked) == {k if 2 * k <= n - 1 else n - 1 - k}
+    assert {len(rows) for rows, *_rest in steps} == {k if 2 * k <= n - 1 else n - 1 - k}
 
 
 @pytest.mark.parametrize("s", [tuple(range(1, 240)), tuple(x for x in range(1, 240) if x != 120)],
@@ -225,14 +213,14 @@ def test_dense_walks_pass_at_most_the_smaller_side(monkeypatch, capsys, s):
     # (K240 minus a perfect matching) one row per step.
     g = construct("cyclic:240")
     bound = min(len(s), g.order - 1 - len(s))
-    walked = _rows_walked(monkeypatch)
+    steps = record_calls(monkeypatch, integra.spectra, "_sigma_step")
     assert is_integral(g, s)
     ok, rep = is_integral_cayley(g, s)
     assert ok and rep.index == 1
     indices = ",".join(map(str, s))
     assert main(["spectrum", "--spec", "cyclic:240", "--set-indices", indices, "--json"]) == 0
     assert '"integral": true' in capsys.readouterr().out
-    assert walked and max(walked) <= bound
+    assert steps and max(len(rows) for rows, *_rest in steps) <= bound
 
 
 def test_dense_non_integral_report_never_forms_the_dense_polynomial(monkeypatch, capsys):
@@ -478,17 +466,10 @@ def test_integral_report_reuses_the_verdict_walk(monkeypatch):
     # 2k+1 steps of sigma in all (the verdict's), and no polynomial division.
     g = construct("cyclic:6 x cyclic:6 x cyclic:6 x cyclic:2")
     s = (1, 2, 10, 12, 60, 72, 84, 360, 420)
-    step = integra.spectra._sigma_step
-    calls = []
-
-    def counted(*args):
-        calls.append(None)
-        return step(*args)
-
     def refuse(*_args):
         raise AssertionError("divmod_by called on the integral route")
 
-    monkeypatch.setattr(integra.spectra, "_sigma_step", counted)
+    calls = record_calls(monkeypatch, integra.spectra, "_sigma_step")
     monkeypatch.setattr(IntPolynomial, "divmod_by", refuse)
     ok, rep = is_integral_cayley(g, s)
     assert ok and rep.index == 1
